@@ -354,6 +354,14 @@ def format_service_metrics(snapshot: dict) -> str:
         for k, v in sorted(dispatches.items())
     ]
     router_pairs += [
+        (f"placed_{k}", fmt(v))
+        for k, v in sorted(
+            _label_rows(
+                snapshot, "router_placement_total", "reason"
+            ).items()
+        )
+    ]
+    router_pairs += [
         ("nodes_up", fmt(sum(node_up.values()))) if node_up else
         ("nodes_up", None),
         (
@@ -548,6 +556,20 @@ def format_fabric_summary(parts, node_status=None) -> str:
             format_summary(stage_rows),
         ]
     merged_snap = merged.snapshot()
+    placements = _label_rows(
+        merged_snap, "router_placement_total", "reason"
+    )
+    if placements:
+        total = sum(placements.values())
+        sections += [
+            "",
+            "router placement:",
+            "  "
+            + ", ".join(
+                f"{k}={int(v)}" for k, v in sorted(placements.items())
+            )
+            + f" (spill share {placements.get('spill', 0) / total:.1%})",
+        ]
     paths = _label_rows(
         merged_snap, "service_lower_requests_total", "path"
     )

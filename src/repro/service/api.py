@@ -46,12 +46,16 @@ from ..lower.executor import (  # noqa: F401 (registers backend)
 )
 from .chaos import ChaosConfig
 from .executor import make_executor, make_response, observe_stage
-from .fingerprint import fingerprint
 from .plancache import PlanCache
 from .proto import ProtoError, Request, Response, error_response
 from .pool import ProcessPlanExecutor  # noqa: F401 (registers backend)
 from .scheduler import QueueClosedError, ResultSlot, Scheduler, WorkItem
-from .workload import WorkloadError, WorkloadPlan, plan_workload
+from .workload import (
+    WorkloadError,
+    WorkloadPlan,
+    plan_workload,
+    resolve_request,
+)
 
 __all__ = [
     "EXECUTION_BACKENDS",
@@ -270,16 +274,6 @@ class StencilService:
         )
         self._started = False
         self._seq = 0
-        # Named-benchmark requests resolve to the same (spec, options,
-        # fingerprint) for every seed; memoizing that triple takes the
-        # hot warm path's per-request cost from ~0.4ms of spec
-        # construction + canonical hashing down to one dict probe.
-        # Inline-spec requests are not memoized (their identity is the
-        # whole JSON document).
-        self._resolve_memo: Dict[tuple, tuple] = {}
-        # Workload planning (chain/fuse walk + per-stage fingerprints)
-        # is likewise memoized for registered-benchmark workloads.
-        self._workload_memo: Dict[tuple, WorkloadPlan] = {}
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "StencilService":
@@ -318,39 +312,6 @@ class StencilService:
         self.shutdown(drain=exc_type is None)
 
     # -- request parsing -----------------------------------------------
-    def _resolve(self, req: Request):
-        """``(spec, options, fingerprint)``, memoized for benchmarks."""
-        if req.benchmark is None:
-            spec, options = req.resolve_spec()
-            return spec, options, fingerprint(spec, options)
-        key = (req.benchmark, req.grid, req.streams)
-        hit = self._resolve_memo.get(key)
-        if hit is None:
-            spec, options = req.resolve_spec()
-            hit = (spec, options, fingerprint(spec, options))
-            if len(self._resolve_memo) >= 512:  # defensive bound
-                self._resolve_memo.clear()
-            self._resolve_memo[key] = hit
-        return hit
-
-    def _plan_workload(self, req: Request) -> WorkloadPlan:
-        """Lower ``req.workload`` into stages, memoized when possible."""
-        memo_key = req.workload.memo_key()
-        key = None
-        if memo_key is not None:
-            key = (memo_key, req.grid, req.streams)
-            hit = self._workload_memo.get(key)
-            if hit is not None:
-                return hit
-        plan = plan_workload(
-            req.workload, grid=req.grid, streams=req.streams
-        )
-        if key is not None:
-            if len(self._workload_memo) >= 512:  # defensive bound
-                self._workload_memo.clear()
-            self._workload_memo[key] = plan
-        return plan
-
     def _count_workload(self, req: Request, plan: WorkloadPlan) -> None:
         self.metrics.counter(
             "service_workload_requests_total",
@@ -368,7 +329,9 @@ class StencilService:
         stages = None
         label = None
         if req.workload is not None:
-            plan = self._plan_workload(req)
+            plan = plan_workload(
+                req.workload, grid=req.grid, streams=req.streams
+            )
             self._count_workload(req, plan)
             spec = plan.stages[0].spec
             options = plan.stages[0].options
@@ -377,7 +340,7 @@ class StencilService:
                 stages = plan.stages
                 label = plan.label
         else:
-            spec, options, plan_fp = self._resolve(req)
+            spec, options, plan_fp = resolve_request(req)
         timeout_s = (
             self.config.default_timeout_s
             if req.timeout_s is None

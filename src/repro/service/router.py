@@ -12,10 +12,17 @@ on one node by **rendezvous hashing** its plan fingerprint:
   node) hash — each fingerprint has one deterministic *home* node and
   a deterministic failover order, and adding/removing a node only
   moves the fingerprints that hashed to it (minimal ownership churn);
-* an **in-flight owner table** pins a fingerprint to the node
+* an **in-flight owner table** pins a *cold* fingerprint to the node
   currently serving it, which makes single-flight *global*:
   concurrent identical requests all land on the owning node, whose
-  plan-cache single-flight collapses them into one compile.
+  plan-cache single-flight collapses them into one compile;
+* once any node has answered a fingerprint ``ok`` it is **warm**
+  (remembered in a bounded LRU set, :data:`WARM_FINGERPRINTS`) and
+  its requests go to the ready node with the fewest router-side
+  in-flight requests, ties broken by rendezvous order — an idle fabric
+  still sends everything home, a busy home *spills* to its siblings.
+  Each decision is counted on ``router_placement_total{reason=...}``
+  (``pinned``, ``home``, ``spill`` or ``failover``).
 
 Failure handling keeps the service invariant — *nothing is dropped
 without a response*:
@@ -46,6 +53,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -81,11 +89,16 @@ from .transport import (
 )
 
 __all__ = [
+    "WARM_FINGERPRINTS",
     "NodeConfig",
     "Router",
     "RouterConfig",
     "rendezvous_order",
 ]
+
+#: Bound on the router's warm-fingerprint set (least recently answered
+#: evicted).  An evicted fingerprint just falls back to the cold rule.
+WARM_FINGERPRINTS = 4096
 
 
 def rendezvous_order(fp: str, nodes: int) -> Tuple[int, ...]:
@@ -568,6 +581,11 @@ class Router:
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
         self._pending: Dict[str, _Pending] = {}
+        #: Per-node count of ``_pending`` entries, kept in step with
+        #: every insert/removal so placement reads load in O(1).
+        self._load: List[int] = [0] * len(self._nodes)
+        #: Fingerprints some node has answered ``ok`` (LRU order).
+        self._warm: "OrderedDict[str, None]" = OrderedDict()
         #: Outstanding control requests (metrics collection) by wire
         #: id — kept apart from ``_pending`` so control replies never
         #: enter the request resolution/failover machinery.
@@ -613,10 +631,7 @@ class Router:
 
     def _sync_gauges(self) -> None:
         with self._lock:
-            per_node = [0] * len(self._nodes)
-            for entry in self._pending.values():
-                if 0 <= entry.node < len(per_node):
-                    per_node[entry.node] += 1
+            per_node = list(self._load)
             inflight = len(self._owners)
         for node in self._nodes:
             self.metrics.gauge(
@@ -713,34 +728,57 @@ class Router:
         self.close()
 
     # -- placement -----------------------------------------------------
-    def _pick_node(self, fp: str) -> Optional[int]:
-        """The owning node for ``fp`` (caller holds the lock).
+    def _pick_node(
+        self, fp: str, warm: bool
+    ) -> Tuple[Optional[int], str]:
+        """``(node, reason)`` for one request of ``fp`` (caller holds
+        the lock); node is None when no node is ready right now.
 
-        A pinned in-flight owner wins (global single-flight); else the
-        first *alive* node in rendezvous order.  Returns None when no
-        node is alive right now.
+        Cold: a ready in-flight owner wins (``pinned``, global
+        single-flight), else the first ready node in rendezvous order
+        (``home``).  Warm: the ready node with the fewest in-flight
+        requests, ties by rendezvous order — ``home`` when that is the
+        cold rule's node anyway, ``spill`` otherwise.
         """
+        ready = [
+            idx
+            for idx in rendezvous_order(fp, len(self._nodes))
+            if self._nodes[idx].ready()
+        ]
+        if not ready:
+            return None, ""
+        if warm:
+            # min() keeps the first minimum: ties go by rendezvous order.
+            idx = min(ready, key=self._load.__getitem__)
+            return idx, "home" if idx == ready[0] else "spill"
         owner = self._owners.get(fp)
         if owner is not None and self._nodes[owner[0]].ready():
-            return owner[0]
-        for idx in rendezvous_order(fp, len(self._nodes)):
-            if self._nodes[idx].ready():
-                return idx
-        return None
+            return owner[0], "pinned"
+        return ready[0], "home"
 
-    def _pin(self, fp: str, idx: int) -> None:
+    def _pin(self, fp: str, idx: int, move: bool = True) -> None:
         """Record one more in-flight request for ``fp`` on ``idx``
-        (caller holds the lock); counts churn on an owner change."""
+        (caller holds the lock).  With ``move`` (cold placements) the
+        owner becomes ``idx``, counting churn on a change; warm
+        placements only add to the in-flight count."""
         owner = self._owners.get(fp)
         if owner is None:
             self._owners[fp] = [idx, 1]
-            if idx != rendezvous_order(fp, len(self._nodes))[0]:
+            if move and idx != rendezvous_order(fp, len(self._nodes))[0]:
                 self._count("router_ownership_churn_total")
         else:
-            if owner[0] != idx:
+            if move and owner[0] != idx:
                 owner[0] = idx
                 self._count("router_ownership_churn_total")
             owner[1] += 1
+
+    def _mark_warm(self, fp: str) -> None:
+        """Remember that some node answered ``fp`` ok (bounded LRU)."""
+        with self._lock:
+            self._warm[fp] = None
+            self._warm.move_to_end(fp)
+            if len(self._warm) > WARM_FINGERPRINTS:
+                self._warm.popitem(last=False)
 
     def _unpin(self, fp: str) -> None:
         owner = self._owners.get(fp)
@@ -762,6 +800,7 @@ class Router:
         with self._lock:
             entry = self._pending.pop(internal_id, None)
             if entry is not None:
+                self._load[entry.node] -= 1
                 self._unpin(entry.fingerprint)
             if not self._pending:
                 self._drained.notify_all()
@@ -786,6 +825,7 @@ class Router:
             if entry is None or entry.attempts != attempts:
                 return None
             del self._pending[internal_id]
+            self._load[entry.node] -= 1
             self._unpin(entry.fingerprint)
             if not self._pending:
                 self._drained.notify_all()
@@ -963,13 +1003,17 @@ class Router:
         """Place ``entry`` on its owning node (initial or failover)."""
         while True:
             with self._lock:
-                idx = self._pick_node(entry.fingerprint)
+                warm = entry.fingerprint in self._warm
+                idx, reason = self._pick_node(entry.fingerprint, warm)
                 if idx is not None:
-                    self._pin(entry.fingerprint, idx)
+                    # Warm placements share load; they never move the
+                    # owner a cold burst pins to (a spill is not churn).
+                    self._pin(entry.fingerprint, idx, move=not warm)
                     node = self._nodes[idx]
                     entry.node = idx
                     entry.generation = node.generation
                     self._pending[entry.internal_id] = entry
+                    self._load[idx] += 1
             if idx is None:
                 # Every node is down; the supervisor respawns them on
                 # its next tick — wait it out within the deadline.
@@ -1015,6 +1059,10 @@ class Router:
             entry.sent_ns = time.perf_counter_ns()
             self._count(
                 "router_dispatch_total", self._node_labels(idx)
+            )
+            self._count(
+                "router_placement_total",
+                {"reason": "failover" if entry.attempts else reason},
             )
             if self._chaos is not None and (
                 self._chaos.decision(
@@ -1159,6 +1207,8 @@ class Router:
         if entry is None:
             self._count("router_unmatched_responses_total")
             return
+        if response.ok:
+            self._mark_warm(entry.fingerprint)
         response.node = node.idx
         self._resolve_entry(entry, response)
 

@@ -575,6 +575,12 @@ class SocketServer:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the join below returns at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -39,23 +39,29 @@ multi-stage plan hashes the ordered stage fingerprints under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .fingerprint import CompileOptions, canonical_digest, fingerprint
 
 __all__ = [
     "FUSE_POLICIES",
+    "PLAN_MEMO",
+    "PLAN_MEMO_ENTRIES",
     "WORKLOAD_KINDS",
     "WORKLOAD_VERSION",
     "GraphNode",
     "KernelRef",
+    "PlanMemo",
     "PlannedStage",
     "Workload",
     "WorkloadError",
     "WorkloadPlan",
     "plan_workload",
     "request_fingerprint",
+    "resolve_request",
 ]
 
 #: Bump on any change to workload hashing or planning semantics.
@@ -418,12 +424,83 @@ def _attempt_fuse(policy: str, producer, consumer):
     return fused if ops_fused <= ops_chained else None
 
 
+#: Bound on :data:`PLAN_MEMO` entries (least recently used evicted).
+PLAN_MEMO_ENTRIES = 512
+
+
+class PlanMemo:
+    """A bounded LRU of planning results keyed on request content.
+
+    Named-benchmark requests resolve to the same spec, options and
+    fingerprints for every seed, so planning once per
+    ``(kernel names, grid, streams)`` takes the warm per-request cost
+    from spec construction plus canonical hashing down to one dict
+    probe.  A ``None`` key (inline specs, whose identity is the whole
+    JSON document) bypasses the memo, and a build that raises stores
+    nothing — an unknown benchmark is rejected on every request.
+    """
+
+    def __init__(self, max_entries: int = PLAN_MEMO_ENTRIES) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get_or_build(self, key: Optional[tuple], build: Callable[[], Any]):
+        if key is None:
+            return build()
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit
+        value = build()
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+        return value
+
+
+#: The one planning memo of this process, shared by the router's
+#: placement fingerprint and the service node's request parsing.
+PLAN_MEMO = PlanMemo()
+
+
+def _grid_key(grid) -> Optional[Tuple[int, ...]]:
+    return None if grid is None else tuple(grid)  # lists hash too
+
+
 def plan_workload(
     workload: Workload,
     grid: Optional[Tuple[int, ...]] = None,
     streams: int = 1,
 ) -> WorkloadPlan:
-    """Lower a workload into chained/fused stages (see module doc)."""
+    """Lower a workload into chained/fused stages (see module doc).
+
+    Registered-benchmark workloads are memoized in :data:`PLAN_MEMO`.
+    """
+    memo_key = workload.memo_key()
+    key = (
+        None
+        if memo_key is None
+        else ("workload", memo_key, _grid_key(grid), streams)
+    )
+    return PLAN_MEMO.get_or_build(
+        key, lambda: _plan_workload(workload, grid, streams)
+    )
+
+
+def _plan_workload(
+    workload: Workload,
+    grid: Optional[Tuple[int, ...]],
+    streams: int,
+) -> WorkloadPlan:
     from ..integration.chaining import ChainingError, compose_consumer
 
     options = CompileOptions(offchip_streams=streams)
@@ -486,6 +563,31 @@ def plan_workload(
     )
 
 
+def resolve_request(request) -> Tuple[Any, CompileOptions, str]:
+    """``(spec, options, fingerprint)`` of a proto:1 request.
+
+    Named benchmarks are memoized in :data:`PLAN_MEMO`; resolution
+    errors (``KeyError`` for an unknown name, ``ValueError`` for a bad
+    inline spec) propagate unchanged.
+    """
+
+    def build():
+        spec, options = request.resolve_spec()
+        return spec, options, fingerprint(spec, options)
+
+    key = (
+        None
+        if request.benchmark is None
+        else (
+            "request",
+            request.benchmark,
+            _grid_key(request.grid),
+            request.streams,
+        )
+    )
+    return PLAN_MEMO.get_or_build(key, build)
+
+
 def request_fingerprint(request) -> str:
     """The routing/caching fingerprint of a typed Request.
 
@@ -496,8 +598,7 @@ def request_fingerprint(request) -> str:
     """
     workload = getattr(request, "workload", None)
     if workload is None:
-        spec, options = request.resolve_spec()
-        return fingerprint(spec, options)
+        return resolve_request(request)[2]
     return plan_workload(
         workload, grid=request.grid, streams=request.streams
     ).fingerprint

@@ -13,6 +13,7 @@ three replay the same expression semantics on the same inputs, so any
 drift is a real lowering bug, never rounding noise.
 """
 
+import importlib
 import random
 
 import numpy as np
@@ -37,9 +38,13 @@ from repro.stencil.boundary import (
     run_with_boundary,
 )
 from repro.stencil.golden import golden_output_sequence
+from repro.stencil.kernels import get_benchmark
 from repro.stencil.spec import StencilSpec, StencilWindow
 
 CAMPAIGN_SEED = 20140605
+
+# The module, not the ``convert`` function the package re-exports.
+convert_module = importlib.import_module("repro.lower.convert")
 
 
 def random_spec(rng: random.Random, ndim: int) -> StencilSpec:
@@ -169,6 +174,92 @@ class TestMultiStream:
         )
         compiled = compiled_outputs(spec, grid, streams=streams)
         assert np.array_equal(compiled, golden), spec.name
+
+
+def _strip_kernel(spec, monkeypatch, strip_rows, batch=1):
+    """A NumPy kernel whose box replay runs ``strip_rows``-row strips
+    for a batch of ``batch`` grids (the byte budget shrunk to match)."""
+    opts = CompileOptions()
+    kernel = convert(
+        bufferize_plan(compile_plan(spec, opts, fingerprint(spec, opts)))
+    )
+    rows = kernel.program.shape[0]
+    row_bytes = batch * (kernel.n_outputs // rows) * 8
+    monkeypatch.setattr(
+        convert_module, "STRIP_BYTES", strip_rows * row_bytes
+    )
+    assert kernel._strip_rows(batch) == strip_rows < rows
+    return kernel
+
+
+def _assert_batch_matches_golden(kernel, spec, grids):
+    rows = kernel.run_batch(np.stack(grids))
+    for row, grid in zip(rows, grids):
+        golden = np.asarray(
+            golden_output_sequence(spec, grid), dtype=np.float64
+        )
+        # array_equal treats NaN != NaN; compare the raw bits instead.
+        assert row.tobytes() == golden.tobytes(), spec.name
+
+
+class TestStripMinedReplay:
+    """Box replay over row strips is bit-identical to the golden."""
+
+    @pytest.mark.parametrize("strip_rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["DENOISE", "RICIAN", "SOBEL"])
+    def test_ragged_and_single_row_strips(
+        self, monkeypatch, name, strip_rows
+    ):
+        # 13 output rows: no strip height here divides it evenly.
+        spec = get_benchmark(name).with_grid((15, 12))
+        kernel = _strip_kernel(spec, monkeypatch, strip_rows)
+        _assert_batch_matches_golden(kernel, spec, [make_input(spec, 3)])
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_random_3d_specs(self, monkeypatch, case):
+        rng = random.Random(CAMPAIGN_SEED + 300 + case)
+        spec = random_spec(rng, ndim=3)  # >= 3 output planes
+        kernel = _strip_kernel(spec, monkeypatch, 1 + case % 2)
+        grid = np.random.default_rng(case).uniform(-9, 9, size=spec.grid)
+        _assert_batch_matches_golden(kernel, spec, [grid])
+
+    def test_paper_3d_kernel(self, monkeypatch):
+        spec = get_benchmark("DENOISE_3D").with_grid((9, 7, 6))
+        kernel = _strip_kernel(spec, monkeypatch, 2)
+        _assert_batch_matches_golden(kernel, spec, [make_input(spec, 1)])
+
+    @pytest.mark.parametrize("name", ["RICIAN", "SOBEL"])
+    def test_batched_grids(self, monkeypatch, name):
+        spec = get_benchmark(name).with_grid((14, 11))
+        grids = [make_input(spec, seed) for seed in range(3)]
+        kernel = _strip_kernel(spec, monkeypatch, 2, batch=len(grids))
+        _assert_batch_matches_golden(kernel, spec, grids)
+
+    @pytest.mark.parametrize("name", ["DENOISE", "RICIAN", "SOBEL"])
+    def test_nan_signed_zero_and_inf_inputs(self, monkeypatch, name):
+        spec = get_benchmark(name).with_grid((13, 10))
+        grids = []
+        for seed in range(2):
+            grid = make_input(spec, seed).copy()
+            flat = grid.reshape(-1)
+            picks = np.random.default_rng(seed).choice(
+                flat.size, size=12, replace=False
+            )
+            specials = [np.nan, 0.0, -0.0, np.inf, -np.inf, 0.0]
+            for i, at in enumerate(picks):
+                flat[at] = specials[i % len(specials)]
+            grids.append(grid)
+        kernel = _strip_kernel(spec, monkeypatch, 3, batch=len(grids))
+        _assert_batch_matches_golden(kernel, spec, grids)
+
+    def test_small_blocks_keep_the_eager_path(self):
+        spec = get_benchmark("SOBEL").with_grid((15, 12))
+        opts = CompileOptions()
+        kernel = convert(
+            bufferize_plan(compile_plan(spec, opts, fingerprint(spec, opts)))
+        )
+        assert kernel._strip_rows(1) == 0
+        assert kernel._strip_rows(10_000) > 0  # big batches do strip
 
 
 @pytest.mark.skipif(

@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import format_fabric_summary, format_service_metrics
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.fingerprint import CompileOptions, fingerprint
 from repro.service.proto import Response
@@ -72,6 +73,150 @@ class TestRendezvousOrder:
     def test_rejects_empty_cluster(self):
         with pytest.raises(ValueError):
             rendezvous_order("fp", 0)
+
+
+class _FakeNode:
+    """A dispatch target that records wire lines instead of serving."""
+
+    transport = "fake"
+
+    def __init__(self, idx):
+        self.idx = idx
+        self.up = True
+        self.generation = 0
+        self.sent = []
+        self.closing = False
+        self.proc = None
+        self.last_seen = 0.0
+
+    def ready(self):
+        return self.up
+
+    def send(self, wire, generation):
+        self.sent.append(wire)
+
+    def kill(self):
+        self.up = False
+
+    def break_link(self):
+        self.up = False
+
+
+class TestPlacement:
+    """Cold-pin / warm least-loaded placement, without subprocesses."""
+
+    FP = _fp("SOBEL", (10, 12))
+
+    def _router(self):
+        registry = MetricsRegistry()
+        router = Router(RouterConfig(nodes=2), registry=registry)
+        router._nodes = [_FakeNode(0), _FakeNode(1)]
+        router._started = True  # nothing to spawn
+        self.home = rendezvous_order(self.FP, 2)[0]
+        self.sibling = 1 - self.home
+        return router, registry
+
+    def _submit(self, router, k):
+        slot = router.submit(
+            {"proto": 1, "id": f"q{k}", "benchmark": "SOBEL",
+             "grid": [10, 12]}
+        )
+        for node in router._nodes:
+            if node.sent and node.sent[-1]["id"] == f"rt-{router._seq}":
+                return slot, node, node.sent[-1]["id"]
+        raise AssertionError("request was not dispatched")
+
+    def _reply(self, router, node, wire_id, status="ok"):
+        router._on_response(node, Response(id=wire_id, status=status))
+
+    @staticmethod
+    def _placements(registry):
+        prefix = 'router_placement_total{reason="'
+        return {
+            k[len(prefix):-2]: v
+            for k, v in registry.snapshot()["counters"].items()
+            if k.startswith(prefix)
+        }
+
+    def test_cold_burst_pins_to_home(self):
+        router, registry = self._router()
+        placed = [self._submit(router, k)[1].idx for k in range(5)]
+        assert placed == [self.home] * 5
+        assert self._placements(registry) == {"home": 1, "pinned": 4}
+        assert router._load[self.home] == 5
+
+    def test_warm_request_spills_to_idle_sibling(self):
+        router, registry = self._router()
+        slot, node, wire_id = self._submit(router, 0)
+        self._reply(router, node, wire_id)
+        assert slot.result(timeout=1).ok
+        # Idle fabric: the tie goes home.
+        _, first, first_id = self._submit(router, 1)
+        assert first.idx == self.home
+        # Home is busy, the sibling idle: spill.
+        _, second, second_id = self._submit(router, 2)
+        assert second.idx == self.sibling
+        # Equal load again: the tie goes home.
+        _, third, _ = self._submit(router, 3)
+        assert third.idx == self.home
+        assert self._placements(registry) == {"home": 3, "spill": 1}
+        counters = registry.snapshot()["counters"]
+        assert counters.get("router_ownership_churn_total", 0) == 0
+        self._reply(router, second, second_id)
+        self._reply(router, first, first_id)
+        assert router._load[self.home] == 1  # only the third is left
+        assert router._load[self.sibling] == 0
+        # Both operator views show the placement split.
+        snapshot = registry.snapshot()
+        assert "placed_spill: 1" in format_service_metrics(snapshot)
+        top = format_fabric_summary([("router", snapshot)])
+        assert "router placement:" in top
+        assert "home=3, spill=1 (spill share 25.0%)" in top
+
+    def test_failed_reply_does_not_warm(self):
+        router, registry = self._router()
+        _, node, wire_id = self._submit(router, 0)
+        self._reply(router, node, wire_id, status="error")
+        self._submit(router, 1)
+        _, again, _ = self._submit(router, 2)
+        assert again.idx == self.home  # still cold: pinned
+        assert self._placements(registry) == {"home": 2, "pinned": 1}
+
+    def test_not_ready_nodes_are_skipped(self):
+        router, registry = self._router()
+        router._nodes[self.home].up = False
+        _, node, wire_id = self._submit(router, 0)
+        assert node.idx == self.sibling
+        self._reply(router, node, wire_id)
+        # Warm, and the down home has the lower load: still skipped.
+        _, node, _ = self._submit(router, 1)
+        assert node.idx == self.sibling
+        router._nodes[self.sibling].up = False
+        slot = router.submit(
+            {"proto": 1, "id": "none", "benchmark": "SOBEL",
+             "grid": [10, 12], "timeout_s": 0.05}
+        )
+        assert slot.result(timeout=5).status == "timeout"
+
+    def test_failover_is_counted_as_failover(self):
+        router, registry = self._router()
+        _, node, _ = self._submit(router, 0)
+        node.up = False
+        router._on_node_exit(node, node.generation)
+        assert router._nodes[self.sibling].sent
+        assert self._placements(registry) == {"home": 1, "failover": 1}
+        assert router._load[self.home] == 0
+        assert router._load[self.sibling] == 1
+
+    def test_warm_set_is_bounded(self):
+        from repro.service.router import WARM_FINGERPRINTS
+
+        router, _ = self._router()
+        for i in range(WARM_FINGERPRINTS + 10):
+            router._mark_warm(f"fp-{i}")
+        assert len(router._warm) == WARM_FINGERPRINTS
+        assert "fp-0" not in router._warm  # least recent evicted
+        assert f"fp-{WARM_FINGERPRINTS + 9}" in router._warm
 
 
 def _read_node_counters(metrics_dir):
@@ -121,11 +266,20 @@ class TestRouterSingleFlight:
         assert all(r.ok for r in responses), [
             r.to_json() for r in responses if not r.ok
         ]
-        # Global single-flight: identical fingerprints all pin to one
-        # owning node...
+        # Global single-flight: the cold burst pins to the home node;
+        # anything placed elsewhere is a warm spill, which found the
+        # plan already compiled (shared disk tier or a coalesced
+        # promotion) instead of compiling it again...
         owner = rendezvous_order(_fp("SOBEL", (10, 12)), 2)[0]
-        assert {r.node for r in responses} == {owner}
-        # ...whose plan-cache single-flight ran exactly one compile.
+        elsewhere = [r for r in responses if r.node != owner]
+        assert all(
+            r.cache in ("hit", "disk", "coalesced") for r in elsewhere
+        )
+        spills = registry.snapshot()["counters"].get(
+            'router_placement_total{reason="spill"}', 0
+        )
+        assert len(elsewhere) == spills
+        # ...so across both nodes exactly one compile ran.
         counters = _read_node_counters(metrics_dir)
         assert counters["service_plan_compiles_total"] == 1
         # Every response validates as proto:1 (round-trips strictly).

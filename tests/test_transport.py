@@ -421,6 +421,18 @@ class TestSocketServer:
             finally:
                 conn.close()
 
+    def test_stop_wakes_the_blocked_accept_thread(self):
+        """Closing a listener does not wake a thread parked in
+        accept(); stop() must, or every graceful node shutdown pays
+        the full join timeout."""
+        server = SocketServer(_echo_submit)
+        server.start()
+        time.sleep(0.05)  # let the accept thread block
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert not server._accept_thread.is_alive()
+
     def test_conn_kill_chaos_closes_connection(self):
         chaos = SocketChaos(seed=0, conn_kill_rate=1.0)
         with SocketServer(_echo_submit, chaos=chaos) as server:

@@ -34,12 +34,16 @@ from repro.service import ServiceConfig, StencilService
 from repro.service.proto import Request
 from repro.service.workload import (
     FUSE_POLICIES,
+    PLAN_MEMO,
+    PLAN_MEMO_ENTRIES,
     WORKLOAD_KINDS,
     KernelRef,
+    PlanMemo,
     Workload,
     WorkloadError,
     plan_workload,
     request_fingerprint,
+    resolve_request,
 )
 from repro.stencil.golden import golden_output_sequence, make_input
 from repro.stencil.kernels import DENOISE, get_benchmark
@@ -247,6 +251,49 @@ class TestPlanner:
             {"proto": 1, "benchmark": "DENOISE", "grid": list(GRID)}
         )
         assert fp != request_fingerprint(single)
+
+
+class TestPlanMemo:
+    """The one planning memo shared by the router and service nodes."""
+
+    def test_lru_bound_is_enforced(self):
+        memo = PlanMemo(max_entries=3)
+        for k in range(5):
+            memo.get_or_build(("k", k), lambda k=k: k)
+        assert len(memo) == 3
+        memo.get_or_build(("k", 2), lambda: "stale")  # refresh 2
+        memo.get_or_build(("k", 5), lambda: 5)  # evicts 3, not 2
+        assert memo.get_or_build(("k", 2), lambda: "miss") == 2
+        assert memo.get_or_build(("k", 3), lambda: "miss") == "miss"
+        with pytest.raises(ValueError):
+            PlanMemo(max_entries=0)
+
+    def test_process_memo_stays_within_its_bound(self):
+        assert PLAN_MEMO.max_entries == PLAN_MEMO_ENTRIES
+        for rows in range(8, 8 + PLAN_MEMO_ENTRIES + 20):
+            request_fingerprint(
+                Request(benchmark="DENOISE", grid=(rows, 9))
+            )
+        assert len(PLAN_MEMO) == PLAN_MEMO_ENTRIES
+
+    def test_warm_lookups_return_the_memoized_plan(self):
+        workload = Workload.iterate(benchmark="DENOISE", steps=3)
+        first = plan_workload(workload, grid=list(GRID))
+        assert plan_workload(workload, grid=GRID) is first
+        req = Request(benchmark="DENOISE", grid=GRID)
+        assert resolve_request(req) is resolve_request(req)
+
+    def test_errors_and_inline_specs_are_never_memoized(self):
+        before = len(PLAN_MEMO)
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                request_fingerprint(Request(benchmark="BOGUS"))
+            with pytest.raises(WorkloadError):
+                plan_workload(Workload.single(benchmark="BOGUS"))
+        spec_json = DENOISE.with_grid(GRID).to_json()
+        plan_workload(Workload.iterate(spec=spec_json, steps=2))
+        request_fingerprint(Request(spec=spec_json))
+        assert len(PLAN_MEMO) == before
 
 
 # -- service end to end -------------------------------------------------
