@@ -4,8 +4,9 @@ The value-lowering pipeline that turns a compiled stencil plan into a
 flat, backend-neutral :class:`~repro.lower.program.BufferProgram` and
 then into a vectorized NumPy kernel executed once per request batch —
 see the module docstrings of :mod:`repro.lower.program`,
-:mod:`repro.lower.bufferize`, :mod:`repro.lower.convert`,
-:mod:`repro.lower.engine` and :mod:`repro.lower.executor`.
+:mod:`repro.lower.bufferize`, :mod:`repro.lower.convert` and
+:mod:`repro.lower.engine`.  The service runs the kernels through its
+one execution core (:func:`repro.service.executor.run_stages`).
 """
 
 from .bufferize import (
@@ -25,7 +26,6 @@ from .convert import (
     register_converter,
 )
 from .engine import CompiledEngine, LowerResult, LoweringConfig
-from .executor import CompiledPlanExecutor
 from .gather import GATHER_CHUNK_POINTS, iter_point_chunks
 from .program import (
     BUFFER_PROGRAM_VERSION,
@@ -49,7 +49,6 @@ __all__ = [
     "BufferRead",
     "CompiledEngine",
     "CompiledKernel",
-    "CompiledPlanExecutor",
     "ConverterUnavailable",
     "LowerResult",
     "LoweringConfig",

@@ -10,7 +10,8 @@ memoizes three things:
 * **unsupported verdicts** — a plan the lowering refused
   (:class:`LoweringUnsupported`) is remembered by fingerprint so the
   fallback decision costs a dict lookup, not a re-lowering, on every
-  subsequent request;
+  subsequent request (both memos are LRUs bounded by
+  :data:`KERNEL_MEMO_ENTRIES`);
 * **input grids** — service inputs are *content-addressed*: a request's
   grid is ``make_input(spec, seed)``, fully determined by
   ``(grid shape, seed)``, so warm traffic re-reading the same seeds
@@ -57,10 +58,23 @@ from .program import (
     validate_program,
 )
 
-__all__ = ["CompiledEngine", "LowerResult", "LoweringConfig"]
+__all__ = [
+    "GRID_CACHE_BYTES",
+    "KERNEL_MEMO_ENTRIES",
+    "CompiledEngine",
+    "LowerResult",
+    "LoweringConfig",
+]
 
 #: Input-grid LRU budget (float64 bytes across all cached grids).
 GRID_CACHE_BYTES = 64 * 1024 * 1024
+
+#: Bound on each engine's kernel memo and, separately, on its memo of
+#: refused lowerings; both evict the least recently used entry.  One
+#: entry per (fingerprint, lowering config) a process has executed:
+#: 256 holds every hot plan of a node, while a stream of one-off
+#: fingerprints cannot grow the process without limit.
+KERNEL_MEMO_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -148,8 +162,8 @@ class CompiledEngine:
         config: Optional[LoweringConfig] = None,
     ) -> None:
         self.config = config or LoweringConfig()
-        self._kernels: Dict[Tuple, Tuple[CompiledKernel, str]] = {}
-        self._unsupported: Dict[Tuple, LoweringUnsupported] = {}
+        self._kernels: OrderedDict = OrderedDict()
+        self._unsupported: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._grid_cache_bytes = grid_cache_bytes
         self._grids: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
@@ -175,11 +189,14 @@ class CompiledEngine:
         with self._lock:
             hit = self._kernels.get(key)
             if hit is not None:
+                self._kernels.move_to_end(key)
                 kernel, used = hit
                 return LowerResult(
                     kernel=kernel, program_json=None, converter=used
                 )
             unsupported = self._unsupported.get(key)
+            if unsupported is not None:
+                self._unsupported.move_to_end(key)
         if unsupported is not None:
             raise unsupported
         if spec is None:
@@ -196,8 +213,7 @@ class CompiledEngine:
                     gather_hard_limit=cfg.gather_hard_limit,
                 )
         except LoweringUnsupported as exc:
-            with self._lock:
-                self._unsupported[key] = exc
+            self._remember(self._unsupported, key, exc)
             raise
         bufferize_ms = (time.perf_counter() - started) * 1e3
         fresh_json = program_to_json(fresh)
@@ -239,14 +255,10 @@ class CompiledEngine:
                         fresh, gather_limit=cfg.gather_limit
                     )
         except LoweringUnsupported as exc:
-            with self._lock:
-                self._unsupported[key] = exc
+            self._remember(self._unsupported, key, exc)
             raise
         convert_ms = (time.perf_counter() - started) * 1e3
-        with self._lock:
-            self._kernels[key] = (kernel, used)
-            if len(self._kernels) > 256:  # bound the per-process cache
-                self._kernels.pop(next(iter(self._kernels)))
+        self._remember(self._kernels, key, (kernel, used))
         return LowerResult(
             kernel=kernel,
             program_json=None if stored is not None else fresh_json,
@@ -256,6 +268,15 @@ class CompiledEngine:
             converter=used,
             converter_fallback=converter_fallback,
         )
+
+    def _remember(self, memo: OrderedDict, key: Tuple, value) -> None:
+        """Insert into one memo, evicting beyond
+        :data:`KERNEL_MEMO_ENTRIES` (least recently used first)."""
+        with self._lock:
+            memo[key] = value
+            memo.move_to_end(key)
+            while len(memo) > KERNEL_MEMO_ENTRIES:
+                memo.popitem(last=False)
 
     @staticmethod
     def _stale_version(stored: dict) -> bool:

@@ -41,9 +41,6 @@ from typing import Any, Dict, Optional
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.tracing import span, trace_context
 from ..lower.engine import LoweringConfig
-from ..lower.executor import (  # noqa: F401 (registers backend)
-    CompiledPlanExecutor,
-)
 from .chaos import ChaosConfig
 from .executor import make_executor, make_response, observe_stage
 from .plancache import PlanCache
@@ -256,18 +253,10 @@ class StencilService:
             canary_hot_weight=self.config.canary_hot_weight,
             canary_hot_window=self.config.canary_hot_window,
         )
-        # worker_mode picks the pool shape; backend picks the execution
-        # strategy.  Thread mode + compiled maps to the registered
-        # "compiled" executor; process mode keeps its executor and
-        # forwards the backend to its workers via the job protocol.
-        executor_name = self.config.worker_mode
-        if (
-            self.config.backend == "compiled"
-            and executor_name == "thread"
-        ):
-            executor_name = "compiled"
+        # worker_mode picks the pool shape; each executor reads the
+        # backend (where its kernels come from) off the config.
         self.executor = make_executor(
-            executor_name,
+            self.config.worker_mode,
             config=self.config,
             shared=shared,
             fault_hook=fault_hook,
@@ -326,21 +315,18 @@ class StencilService:
             )
 
     def _parse(self, req: Request, request_id: str) -> WorkItem:
-        stages = None
         label = None
         if req.workload is not None:
             plan = plan_workload(
                 req.workload, grid=req.grid, streams=req.streams
             )
             self._count_workload(req, plan)
-            spec = plan.stages[0].spec
-            options = plan.stages[0].options
-            plan_fp = plan.fingerprint
-            if len(plan.stages) > 1:
-                stages = plan.stages
+            stages, plan_fp = plan.stages, plan.fingerprint
+            if len(stages) > 1:
                 label = plan.label
         else:
-            spec, options, plan_fp = resolve_request(req)
+            stages = resolve_request(req)
+            plan_fp = stages[0].fingerprint
         timeout_s = (
             self.config.default_timeout_s
             if req.timeout_s is None
@@ -348,8 +334,8 @@ class StencilService:
         )
         return WorkItem(
             request_id=request_id,
-            spec=spec,
-            options=options,
+            spec=stages[0].spec,
+            options=stages[0].options,
             fingerprint=plan_fp,
             stages=stages,
             label=label,

@@ -83,12 +83,13 @@ class WorkItem:
     seed: int
     deadline: float  # time.monotonic() deadline
     slot: ResultSlot
-    #: Multi-stage pipeline plan (a tuple of
-    #: :class:`repro.service.workload.PlannedStage`) when this item is
-    #: a lowered workload of more than one stage; ``spec``/``options``
-    #: then mirror stage 0 and ``fingerprint`` is the workload
-    #: fingerprint.  ``None`` for ordinary single-kernel items.
-    stages: Optional[tuple] = None
+    #: The stages this item executes (a tuple of
+    #: :class:`repro.service.workload.PlannedStage`), always set by the
+    #: service: a proto:1 request or a one-stage workload is a 1-tuple
+    #: whose fingerprint is the item's.  ``spec``/``options`` mirror
+    #: stage 0; with more stages ``fingerprint`` is the workload
+    #: fingerprint.
+    stages: tuple = ()
     #: Display name for multi-stage items (e.g. ``DENOISE->RICIAN``);
     #: responses fall back to ``spec.name`` when unset.
     label: Optional[str] = None

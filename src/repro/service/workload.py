@@ -563,17 +563,27 @@ def _plan_workload(
     )
 
 
-def resolve_request(request) -> Tuple[Any, CompileOptions, str]:
-    """``(spec, options, fingerprint)`` of a proto:1 request.
+def resolve_request(request) -> Tuple[PlannedStage]:
+    """The one-stage plan of a proto:1 request.
 
-    Named benchmarks are memoized in :data:`PLAN_MEMO`; resolution
-    errors (``KeyError`` for an unknown name, ``ValueError`` for a bad
-    inline spec) propagate unchanged.
+    A single kernel executes as the one-stage case of a pipeline, so
+    the stage's fingerprint is the request's.  Named benchmarks are
+    memoized in :data:`PLAN_MEMO`; resolution errors (``KeyError`` for
+    an unknown name, ``ValueError`` for a bad inline spec) propagate
+    unchanged.
     """
 
     def build():
         spec, options = request.resolve_spec()
-        return spec, options, fingerprint(spec, options)
+        return (
+            PlannedStage(
+                index=0,
+                name=spec.name,
+                spec=spec,
+                options=options,
+                fingerprint=fingerprint(spec, options),
+            ),
+        )
 
     key = (
         None
@@ -598,7 +608,7 @@ def request_fingerprint(request) -> str:
     """
     workload = getattr(request, "workload", None)
     if workload is None:
-        return resolve_request(request)[2]
+        return resolve_request(request)[0].fingerprint
     return plan_workload(
         workload, grid=request.grid, streams=request.streams
     ).fingerprint

@@ -326,6 +326,39 @@ class TestEngine:
         with pytest.raises(LoweringUnsupported):
             engine.kernel_for(plan, config=tight)
 
+    def test_recently_hit_kernel_survives_eviction(self, denoise_small):
+        """The kernel memo is an LRU: a kernel hit between inserts
+        outlives N+1 colder entries (insertion order dropped it)."""
+        from repro.lower.engine import KERNEL_MEMO_ENTRIES
+
+        plan, _, _ = plan_for(denoise_small)
+        engine = CompiledEngine()
+        hot = engine.kernel_for(plan)
+        for k in range(KERNEL_MEMO_ENTRIES + 1):
+            # Each config key is one more memo entry for the same plan.
+            engine.kernel_for(
+                plan, config=LoweringConfig(gather_limit=10**6 + k)
+            )
+            again = engine.kernel_for(plan)
+            assert not again.built, f"hot kernel evicted after {k + 1}"
+            assert again.kernel is hot.kernel
+        assert len(engine._kernels) == KERNEL_MEMO_ENTRIES
+
+    def test_unsupported_memo_is_bounded(self):
+        from repro.lower.engine import KERNEL_MEMO_ENTRIES
+
+        plan, _, _ = plan_for(skewed_denoise(rows=8, cols=10))
+        engine = CompiledEngine()
+        for k in range(KERNEL_MEMO_ENTRIES + 1):
+            with pytest.raises(LoweringUnsupported):
+                engine.kernel_for(
+                    plan,
+                    config=LoweringConfig(
+                        gather_limit=2 + k, gather_hard_limit=4
+                    ),
+                )
+        assert len(engine._unsupported) <= KERNEL_MEMO_ENTRIES
+
     def test_multi_stream_kernel_is_memoized(self, denoise_small):
         plan, _, _ = plan_for(denoise_small, streams=2)
         engine = CompiledEngine()

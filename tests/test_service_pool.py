@@ -9,16 +9,21 @@ directly (CircuitBreaker, shard routing) and the full pool through
 """
 
 import time
+from collections import OrderedDict
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceConfig, StencilService
+from repro.service.plancache import CachedPlan
 from repro.service.pool import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    WORKER_PLAN_ENTRIES,
     CircuitBreaker,
+    _remember_plan,
+    _worker_plan,
     shard_of,
 )
 from repro.stencil import DENOISE, SOBEL
@@ -114,6 +119,42 @@ class TestShardOf:
             shard_of(f"{k:064d}", 4) for k in range(64)
         }
         assert shards == {0, 1, 2, 3}
+
+
+class TestWorkerPlanMemo:
+    @staticmethod
+    def plan(k):
+        return CachedPlan(
+            fingerprint=f"{k:064d}",
+            spec={},
+            options={},
+            fifo_capacities=[1],
+            filter_order=["a"],
+            num_banks=1,
+            total_buffer=1,
+            summary={},
+        )
+
+    def test_lru_keeps_the_plan_a_job_just_used(self):
+        plans = OrderedDict()
+        for k in range(WORKER_PLAN_ENTRIES):
+            _remember_plan(plans, self.plan(k))
+        hot = plans[self.plan(0).fingerprint]
+        stage = {"fingerprint": hot.fingerprint, "plan": hot.to_json()}
+        used = _worker_plan(plans, stage)
+        assert used is hot  # identical content: the local copy
+        _remember_plan(plans, used)
+        _remember_plan(plans, self.plan(WORKER_PLAN_ENTRIES))
+        assert len(plans) == WORKER_PLAN_ENTRIES
+        assert hot.fingerprint in plans
+        assert self.plan(1).fingerprint not in plans
+
+    def test_parent_miss_drops_the_local_copy(self):
+        plans = OrderedDict()
+        _remember_plan(plans, self.plan(0))
+        stage = {"fingerprint": self.plan(0).fingerprint, "plan": None}
+        assert _worker_plan(plans, stage) is None
+        assert not plans
 
 
 def process_service(**overrides):
