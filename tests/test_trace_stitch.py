@@ -5,9 +5,12 @@ run produces one stitched trace spanning all three process layers."""
 import glob
 import json
 import os
+import time
+from collections import OrderedDict
 
 import pytest
 
+from repro.lower.engine import CompiledEngine, LoweringConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stitch import (
     critical_path,
@@ -19,7 +22,11 @@ from repro.obs.stitch import (
     trace_ids,
 )
 from repro.obs.tracing import Tracer, install_tracer, uninstall_tracer
+from repro.service import ServiceConfig, StencilService
+from repro.service.pool import _run_job
+from repro.service.proto import Request
 from repro.service.router import NodeConfig, Router, RouterConfig
+from repro.service.workload import resolve_request
 
 TRACE = "a" * 32
 
@@ -323,6 +330,158 @@ class TestStitchedFabricTrace:
             path = critical_path(doc, response.trace_id)
             assert path and path[0]["name"] == "router.request"
             assert len(path) >= 2
+
+
+def _group_wire(k):
+    """Request ``k`` of a same-fingerprint group, with its own trace
+    context; only the second one asks for the canary."""
+    return {
+        "proto": 1,
+        "id": f"g-{k}",
+        "benchmark": "DENOISE",
+        "grid": [10, 12],
+        "seed": k,
+        "validate": k == 1,
+        "trace_id": f"{k + 1:032x}",
+        "parent_span_id": f"{k + 1:016x}",
+    }
+
+
+class TestGroupedRequestTraces:
+    """A group of requests shares one execution, but every request's
+    own work and canary must land in that request's trace."""
+
+    @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+    def test_thread_group_spans_join_their_own_traces(self, backend):
+        svc = StencilService(
+            ServiceConfig(workers=1, backend=backend),
+            registry=MetricsRegistry(),
+        )
+        executor = svc.executor
+
+        def group(wires):
+            items = []
+            for wire in wires:
+                req = Request.from_json(wire)
+                items.append(svc._parse(req, req.id))
+            executor._process_group(items)
+            return [item.slot.result(30) for item in items]
+
+        # Compile and lower outside the traced group.
+        warm = dict(_group_wire(0), validate=False)
+        del warm["trace_id"], warm["parent_span_id"]
+        assert group([warm])[0].ok
+        tracer = install_tracer(Tracer(name="node"))
+        try:
+            replies = group([_group_wire(k) for k in range(3)])
+        finally:
+            uninstall_tracer()
+        assert all(r.ok for r in replies), [r.to_json() for r in replies]
+        assert replies[1].validated is True
+        assert replies[0].validated is None
+
+        by_trace = {}
+        for rec in tracer.records:
+            by_trace.setdefault(rec.trace_id, []).append(rec)
+        traces = [f"{k + 1:032x}" for k in range(3)]
+        assert set(by_trace) <= set(traces)
+        for k, trace in enumerate(traces):
+            names = [r.name for r in by_trace[trace]]
+            # The canary (golden replay + cycle sim) ran for request 1
+            # only, and only request 1's trace holds it.
+            assert ("service.validate" in names) == (k == 1), names
+            requests = {
+                r.args["request"]
+                for r in by_trace[trace]
+                if "request" in r.args
+            }
+            assert requests == {f"g-{k}"}
+            own = "lower.execute" if backend == "compiled" else (
+                "service.execute"
+            )
+            assert [
+                r for r in by_trace[trace]
+                if r.name == own and r.args.get("request") == f"g-{k}"
+            ]
+        if backend == "interpreted":
+            for trace in traces:  # each item's golden chain is its own
+                assert "service.stage" in [
+                    r.name for r in by_trace[trace]
+                ]
+        else:
+            # One batched kernel pass, in the first request's trace.
+            batched = [
+                r for r in tracer.records if r.args.get("batch") == 3
+            ]
+            assert [r.trace_id for r in batched] == [traces[0]]
+
+    @pytest.mark.parametrize("lowering", [None, LoweringConfig()])
+    def test_pool_worker_spans_tile_the_job(self, lowering):
+        """The pool worker's spans feed the worker_* stage histograms,
+        so they must add up to the job's real time: the batched kernel
+        pass is recorded once, not once per exec."""
+        stages = resolve_request(Request.from_json(_group_wire(0)))
+        stage = stages[0]
+        execs = []
+        for k in range(3):
+            wire = _group_wire(k)
+            execs.append(
+                {
+                    "id": wire["id"],
+                    "seed": wire["seed"],
+                    "validate": wire["validate"],
+                    "attempt": 1,
+                    "trace_id": wire["trace_id"],
+                    "parent_span_id": wire["parent_span_id"],
+                }
+            )
+        job = {
+            "kind": "job",
+            "fingerprint": stage.fingerprint,
+            "stages": [
+                {
+                    "fingerprint": stage.fingerprint,
+                    "name": stage.name,
+                    "spec": stage.spec.to_json(),
+                    "options": stage.options.to_json(),
+                    "plan": None,
+                }
+            ],
+            "lowering": None if lowering is None else lowering.to_json(),
+            "execs": execs,
+        }
+        plans, engine = OrderedDict(), CompiledEngine()
+        first = _run_job(job, plans, None, engine)  # compile + lower
+        job["stages"][0]["plan"] = first["plans"][stage.fingerprint]
+        started = time.time_ns()
+        reply = _run_job(job, plans, None, engine)
+        wall_us = (time.time_ns() - started) / 1e3
+        assert [e["ok"] for e in reply["execs"]] == [True] * 3
+        assert reply["execs"][1]["validated"] is True
+
+        spans = sorted(
+            (
+                s for s in reply["spans"]
+                if s["name"] in ("worker.execute", "worker.validate")
+            ),
+            key=lambda s: s["ts_unix_us"],
+        )
+        executes = [s for s in spans if s["name"] == "worker.execute"]
+        batched = [s for s in executes if s["args"].get("batch") == 3]
+        assert len(batched) == (0 if lowering is None else 1)
+        assert len(executes) == 3 + len(batched)
+        for earlier, later in zip(spans, spans[1:]):
+            end = earlier["ts_unix_us"] + earlier["dur_us"]
+            assert end <= later["ts_unix_us"] + 1
+        assert sum(s["dur_us"] for s in spans) <= wall_us
+        validates = [s for s in spans if s["name"] == "worker.validate"]
+        assert [s["trace_id"] for s in validates] == [execs[1]["trace_id"]]
+        for s in executes:
+            if "request" in s["args"]:
+                exec_ = next(
+                    e for e in execs if e["id"] == s["args"]["request"]
+                )
+                assert s["trace_id"] == exec_["trace_id"]
 
 
 class TestTraceCli:
