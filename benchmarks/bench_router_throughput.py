@@ -149,7 +149,7 @@ def _backend_campaign(tmp_path, backend, converter="numpy"):
         )
         assert all(r.ok for r in warm)
         checksums = {
-            k % BACKEND_SEEDS: r["checksum"] for k, r in enumerate(warm)
+            k % BACKEND_SEEDS: r.checksum for k, r in enumerate(warm)
         }
         best_rps = 0.0
         for k in range(2):
@@ -157,7 +157,7 @@ def _backend_campaign(tmp_path, backend, converter="numpy"):
             replies, wall_s = _run_campaign(router, requests)
             for req, r in zip(requests, replies):
                 assert r.ok
-                assert r["checksum"] == checksums[req["seed"]]
+                assert r.checksum == checksums[req["seed"]]
             best_rps = max(best_rps, n / wall_s)
     finally:
         assert router.close(timeout=120)

@@ -84,6 +84,7 @@ def _warm_backend_requests(n):
     name, grid = WARM_BACKEND_SPEC
     return [
         {
+            "proto": 1,
             "id": f"warm-{k}",
             "benchmark": name,
             "grid": list(grid),
@@ -116,8 +117,8 @@ def _warm_backend_pass(backend, passes=3):
     with StencilService(config, registry=MetricsRegistry()) as svc:
         for req in _warm_backend_requests(WARM_BACKEND_SEEDS):
             reply = svc.handle(req, wait_timeout=300.0)
-            assert reply["status"] == "ok"
-            checksums[req["seed"]] = reply["checksum"]
+            assert reply.status == "ok"
+            checksums[req["seed"]] = reply.checksum
 
         failures = []
 
@@ -125,10 +126,10 @@ def _warm_backend_pass(backend, passes=3):
             for req in requests:
                 reply = svc.submit(req).result(300.0)
                 if (
-                    reply["status"] != "ok"
-                    or reply["checksum"] != checksums[req["seed"]]
+                    reply.status != "ok"
+                    or reply.checksum != checksums[req["seed"]]
                 ):
-                    failures.append((req["id"], dict(reply)))
+                    failures.append((req["id"], reply.to_json()))
                     return
 
         for _ in range(passes):
@@ -221,6 +222,7 @@ def _warm_converter_pass(name, grid, converter, passes=3):
     def make_requests(count):
         return [
             {
+                "proto": 1,
                 "id": f"conv-{k}",
                 "benchmark": name,
                 "grid": list(grid),
@@ -237,8 +239,8 @@ def _warm_converter_pass(name, grid, converter, passes=3):
     with StencilService(config, registry=registry) as svc:
         for req in make_requests(WARM_BACKEND_SEEDS):
             reply = svc.handle(req, wait_timeout=300.0)
-            assert reply["status"] == "ok"
-            checksums[req["seed"]] = reply["checksum"]
+            assert reply.status == "ok"
+            checksums[req["seed"]] = reply.checksum
 
         failures = []
 
@@ -246,10 +248,10 @@ def _warm_converter_pass(name, grid, converter, passes=3):
             for req in requests:
                 reply = svc.submit(req).result(300.0)
                 if (
-                    reply["status"] != "ok"
-                    or reply["checksum"] != checksums[req["seed"]]
+                    reply.status != "ok"
+                    or reply.checksum != checksums[req["seed"]]
                 ):
-                    failures.append((req["id"], dict(reply)))
+                    failures.append((req["id"], reply.to_json()))
                     return
 
         for _ in range(passes):
@@ -335,6 +337,7 @@ def _coverage_requests(n):
         if k % 4 == 3:
             requests.append(
                 {
+                    "proto": 1,
                     "id": f"cov-{k}",
                     "spec": skewed[k % len(skewed)],
                     "seed": k % 5,
@@ -344,6 +347,7 @@ def _coverage_requests(n):
             continue
         name = names[k % len(names)]
         req = {
+            "proto": 1,
             "id": f"cov-{k}",
             "benchmark": name,
             "grid": list(SERVICE_GRIDS[name]),
@@ -399,11 +403,11 @@ def _compiled_coverage_pass():
         slots = [svc.submit(req) for req in requests]
         replies = [slot.result(300.0) for slot in slots]
     wall_s = time.perf_counter() - started
-    assert all(r["status"] == "ok" for r in replies)
+    assert all(r.status == "ok" for r in replies)
     for req, reply in zip(requests, replies):
-        assert reply["checksum"] == expected_checksum(req), (
+        assert reply.checksum == expected_checksum(req), (
             req["id"],
-            dict(reply),
+            reply.to_json(),
         )
 
     counters = registry.snapshot()["counters"]
@@ -483,21 +487,21 @@ def _iterate_vs_roundtrips_pass():
     with StencilService(config, registry=MetricsRegistry()) as svc:
         # Warm-up: compile + lower every per-step fingerprint once.
         warm = svc.handle(dict(iterate_wire), wait_timeout=300.0)
-        assert warm["status"] == "ok"
-        stage_checksums = [s["checksum"] for s in warm["stages"]]
+        assert warm.status == "ok"
+        stage_checksums = [s["checksum"] for s in warm.stages]
         for spec_json in step_specs:
             reply = svc.handle(
                 {"proto": 1, "spec": spec_json, "timeout_s": 300.0},
                 wait_timeout=300.0,
             )
-            assert reply["status"] == "ok"
+            assert reply.status == "ok"
         # The baseline's step-0 request answers the iterate workload's
         # stage-0 digest — same kernel, same seeded input.
         first = svc.handle(
             {"proto": 1, "spec": step_specs[0], "timeout_s": 300.0},
             wait_timeout=300.0,
         )
-        assert first["checksum"] == stage_checksums[0]
+        assert first.checksum == stage_checksums[0]
 
         gc.collect()
         started = time.perf_counter()
@@ -505,7 +509,7 @@ def _iterate_vs_roundtrips_pass():
             req = dict(iterate_wire)
             req["seed"] = k % 5
             reply = svc.submit(req).result(300.0)
-            assert reply["status"] == "ok"
+            assert reply.status == "ok"
         iterate_wall = time.perf_counter() - started
 
         gc.collect()
@@ -518,7 +522,7 @@ def _iterate_vs_roundtrips_pass():
                     "seed": k % 5,
                     "timeout_s": 300.0,
                 }).result(300.0)
-                assert reply["status"] == "ok"
+                assert reply.status == "ok"
         baseline_wall = time.perf_counter() - started
 
     speedup = round(baseline_wall / iterate_wall, 3)
@@ -607,11 +611,11 @@ def _workload_mix_pass():
         slots = [svc.submit(req) for req in requests]
         replies = [slot.result(300.0) for slot in slots]
     wall_s = time.perf_counter() - started
-    assert all(r["status"] == "ok" for r in replies)
+    assert all(r.status == "ok" for r in replies)
     for req, reply in zip(requests, replies):
-        assert reply["checksum"] == expected_checksum(req), (
+        assert reply.checksum == expected_checksum(req), (
             req["id"],
-            dict(reply),
+            reply.to_json(),
         )
 
     counters = registry.snapshot()["counters"]
@@ -656,6 +660,7 @@ def _mixed_requests(n):
     names = sorted(SERVICE_GRIDS)
     return [
         {
+            "proto": 1,
             "id": f"bench-{k}",
             "benchmark": names[k % len(names)],
             "grid": list(SERVICE_GRIDS[names[k % len(names)]]),
@@ -683,6 +688,7 @@ def _distinct_cold_requests(n):
     """
     return [
         {
+            "proto": 1,
             "id": f"cold-{k}",
             "benchmark": "DENOISE",
             "grid": [36, 48 + 2 * k],
@@ -708,7 +714,7 @@ def _cold_compile_mode(worker_mode, n=12, workers=4):
         slots = [svc.submit(req) for req in requests]
         replies = [slot.result(300.0) for slot in slots]
     wall_s = time.perf_counter() - started
-    assert all(r["status"] == "ok" for r in replies)
+    assert all(r.status == "ok" for r in replies)
     return {
         "requests": n,
         "workers": workers,
@@ -727,6 +733,7 @@ def _disk_restart_pass(cache_dir):
         replies = [
             svc.handle(
                 {
+                    "proto": 1,
                     "benchmark": name,
                     "grid": list(SERVICE_GRIDS[name]),
                     "timeout_s": 300.0,
@@ -737,7 +744,7 @@ def _disk_restart_pass(cache_dir):
         ]
         stats = svc.cache.stats
         counters = registry.snapshot()["counters"]
-    assert all(r["status"] == "ok" for r in replies)
+    assert all(r.status == "ok" for r in replies)
     return {
         "disk_lookups": stats.disk_lookups,
         "disk_hits": stats.disk_hits,
@@ -795,7 +802,7 @@ def bench_service_throughput():
     wall_s = time.perf_counter() - started
 
     assert len(replies) == N_REQUESTS
-    assert all(r["status"] == "ok" for r in replies)
+    assert all(r.status == "ok" for r in replies)
 
     snap = registry.snapshot()
     counters = snap["counters"]

@@ -11,7 +11,8 @@ Examples
     python -m repro report fig15
     python -m repro simulate DENOISE --grid 24x32
     python -m repro submit DENOISE --grid 24x32 --count 8
-    echo '{"benchmark": "SOBEL", "grid": [10, 12]}' | python -m repro serve
+    echo '{"proto": 1, "benchmark": "SOBEL", "grid": [10, 12]}' \
+        | python -m repro serve
 """
 
 from __future__ import annotations

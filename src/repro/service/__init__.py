@@ -26,8 +26,7 @@ a long-running service around that observation:
 * :mod:`repro.service.proto` — the versioned wire protocol: typed
   ``Request`` / ``Response`` dataclasses (``proto: 2`` workload
   envelope, ``proto: 1`` flat benchmark/spec) with a closed status
-  and error-kind taxonomy, plus the legacy bare-dict compatibility
-  shim;
+  and error-kind taxonomy; every request names its ``proto``;
 * :mod:`repro.service.workload` — typed ``single``/``iterate``/
   ``graph`` workload descriptions with structural validation and
   content-addressed fingerprints, and the planner that lowers them

@@ -10,11 +10,13 @@ worker-pool executor — behind two calls:
 
 Request JSON (one object per request; unknown keys are ignored)::
 
-    {"id": "r1", "benchmark": "DENOISE", "grid": [24, 32],
+    {"proto": 1, "id": "r1", "benchmark": "DENOISE", "grid": [24, 32],
      "streams": 1, "seed": 2014, "timeout_s": 30.0, "validate": true}
 
 or, for a custom stencil, ``"spec": {...}`` with
-:meth:`StencilSpec.to_json` output instead of ``"benchmark"``.
+:meth:`StencilSpec.to_json` output instead of ``"benchmark"``, or a
+``proto: 2`` request with one ``workload`` object.  A line without
+``proto`` is answered ``invalid`` / ``unsupported_proto``.
 Responses always carry ``id`` and ``status`` (``ok``, ``invalid``,
 ``rejected``, ``timeout``, ``error``, ``validation_failed``,
 ``circuit_open`` or ``cancelled``); successful ones add the plan
@@ -387,13 +389,12 @@ class StencilService:
         ``request`` is either a typed :class:`repro.service.proto.Request`
         or a wire dict — ``proto: 2`` with a ``workload`` object,
         ``proto: 1`` with ``benchmark``/``spec`` (counted on the
-        ``service_proto_v1_total`` deprecation counter), or a legacy
-        bare dict, which passes the compatibility shim and increments
-        ``service_proto_legacy_total``.  Parse
-        failures, a full queue (non-blocking admission) and a draining
-        service all resolve the slot immediately with ``invalid`` /
-        ``rejected`` responses — a submitter can always block on the
-        slot, nothing is dropped without a response.
+        ``service_proto_v1_total`` deprecation counter).  Parse
+        failures (a dict without ``proto`` among them), a full queue
+        (non-blocking admission) and a draining service all resolve
+        the slot immediately with ``invalid`` / ``rejected``
+        responses — a submitter can always block on the slot, nothing
+        is dropped without a response.
         """
         if not self._started:
             self.start()

@@ -51,7 +51,16 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -70,14 +79,6 @@ from .fingerprint import CompileOptions
 from .plancache import CachedPlan, PlanCache
 from .proto import ErrorInfo, Response, default_error_kind
 from .scheduler import Scheduler, WorkItem
-
-try:  # pragma: no cover - 3.8+ always has typing.Protocol
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 __all__ = [
     "LATENCY_BUCKETS_MS",

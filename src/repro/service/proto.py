@@ -15,20 +15,18 @@ and the parent/node pipes underneath it — is one of two documents:
 
 Versioning rules
 ----------------
-``proto`` is an integer; the service speaks every version in
-:data:`ACCEPTED_PROTO_VERSIONS` and emits :data:`PROTO_VERSION` (2).
-A ``proto: 1`` request parses through a compatibility shim — its
-``benchmark``/``spec`` pair is equivalent to a ``single`` workload
-(see :meth:`Request.effective_workload`) — and is counted on the
-``service_proto_v1_total`` deprecation counter.  A request *without*
-a ``proto`` field is accepted as a legacy bare dict: it parses
-exactly like version 1 but increments the older
-``service_proto_legacy_total`` counter so operators can see how much
-unversioned traffic remains.  A request with an unknown ``proto``
-value is rejected up front with
-``error.kind = "unsupported_proto"`` rather than half-parsed, and a
-malformed ``workload`` object (cyclic graph, dangling edge,
-``steps < 1``…) with ``error.kind = "bad_workload"``.
+``proto`` is an integer and every request names it; the service
+speaks every version in :data:`ACCEPTED_PROTO_VERSIONS` and emits
+:data:`PROTO_VERSION` (2).  A ``proto: 1`` request parses through a
+compatibility shim — its ``benchmark``/``spec`` pair is equivalent to
+a ``single`` workload (see :meth:`Request.effective_workload`) — and
+is counted on the ``service_proto_v1_total`` deprecation counter.  A
+document without ``proto``, or with an unknown value, is rejected up
+front with ``error.kind = "unsupported_proto"`` rather than
+half-parsed, a mistyped field (``"validate": "false"``, a fractional
+``seed``) with ``error.kind = "bad_request"``, and a malformed
+``workload`` object (cyclic graph, dangling edge, ``steps < 1``…)
+with ``error.kind = "bad_workload"``.
 
 Error taxonomy
 --------------
@@ -46,8 +44,6 @@ the next.
 
 from __future__ import annotations
 
-import sys
-import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -151,66 +147,61 @@ class ErrorInfo:
 
     @classmethod
     def from_json(cls, data: Any) -> "ErrorInfo":
-        if isinstance(data, str):  # legacy flat error strings
-            return cls(kind="internal", detail=data)
         if not isinstance(data, dict):
-            raise ProtoError("error must be an object or a string")
+            raise ProtoError("error must be an object")
         return cls(
             kind=str(data.get("kind", "internal")),
             detail=str(data.get("detail", "")),
         )
 
 
-_legacy_warning_lock = threading.Lock()
-_legacy_warned = False
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _warn_legacy_once() -> None:
-    """One stderr line, the first time an unversioned dict is parsed.
+def _check_proto_version(data: Dict[str, Any]) -> int:
+    """Validate and return ``data['proto']``.
 
-    Complements the ``service_proto_legacy_total`` counter: the counter
-    tells operators *how much* legacy traffic remains, this tells a
-    human at a terminal immediately that some exists at all.
+    Raises :class:`ProtoError` (kind ``unsupported_proto``) when the
+    field is absent or outside :data:`ACCEPTED_PROTO_VERSIONS`.
     """
-    global _legacy_warned
-    with _legacy_warning_lock:
-        if _legacy_warned:
-            return
-        _legacy_warned = True
-    print(
-        "warning: parsed a legacy bare-dict request without a 'proto' "
-        f"field; clients should send proto: {PROTO_VERSION} "
-        "(this warning is printed once per process)",
-        file=sys.stderr,
-    )
-
-
-def _reset_legacy_warning() -> None:
-    """Test hook: allow the one-time legacy warning to fire again."""
-    global _legacy_warned
-    with _legacy_warning_lock:
-        _legacy_warned = False
-
-
-def _check_proto_version(data: Dict[str, Any]) -> Optional[int]:
-    """Validate ``data['proto']``; returns the version, None if absent.
-
-    Raises :class:`ProtoError` (kind ``unsupported_proto``) on any
-    value outside :data:`ACCEPTED_PROTO_VERSIONS`.
-    """
-    if "proto" not in data or data["proto"] is None:
-        return None
-    version = data["proto"]
-    if not isinstance(version, int) or isinstance(version, bool) or (
-        version not in ACCEPTED_PROTO_VERSIONS
-    ):
+    version = data.get("proto")
+    if not _is_int(version) or version not in ACCEPTED_PROTO_VERSIONS:
+        problem = (
+            "missing 'proto' field"
+            if version is None
+            else f"unsupported proto version {version!r}"
+        )
+        accepted = " and ".join(map(str, ACCEPTED_PROTO_VERSIONS))
         raise ProtoError(
-            f"unsupported proto version {version!r} "
-            f"(this service speaks proto "
-            f"{' and '.join(str(v) for v in ACCEPTED_PROTO_VERSIONS)})",
+            f"{problem} (this service speaks proto {accepted})",
             kind="unsupported_proto",
         )
     return version
+
+
+#: The Python types each JSON type name accepts (``bool`` only for
+#: ``"a boolean"``: JSON ``true`` is not an integer).
+_JSON_TYPES = {
+    "a boolean": (bool,),
+    "an integer": (int,),
+    "a number": (int, float),
+}
+
+
+def _field(
+    data: Dict[str, Any], name: str, expected: str, default: Any = None
+) -> Any:
+    """``data[name]`` checked against a JSON type; absent/null → default."""
+    value = data.get(name)
+    if value is None:
+        return default
+    types = _JSON_TYPES[expected]
+    if not isinstance(value, types) or (
+        isinstance(value, bool) and bool not in types
+    ):
+        raise ProtoError(f"{name!r} must be {expected}, got {value!r}")
+    return value
 
 
 def _parse_grid(value: Any) -> Optional[Tuple[int, ...]]:
@@ -219,8 +210,12 @@ def _parse_grid(value: Any) -> Optional[Tuple[int, ...]]:
         return None
     if isinstance(value, str):
         parts = tuple(int(p) for p in value.lower().split("x"))
+    elif isinstance(value, (list, tuple)) and all(map(_is_int, value)):
+        parts = tuple(value)
     else:
-        parts = tuple(int(p) for p in value)
+        raise ProtoError(
+            f"grid must be a list of integers or 'HxW': {value!r}"
+        )
     if not parts or any(p <= 0 for p in parts):
         raise ProtoError(f"grid extents must be positive: {value!r}")
     return parts
@@ -328,25 +323,22 @@ class Request:
     def from_json(
         cls, data: Any, registry=None
     ) -> "Request":
-        """Parse a wire dict; older dialects pass the compat shims.
+        """Parse a wire dict; every request must name its ``proto``.
 
         A ``proto: 1`` request is counted on ``registry``'s
-        ``service_proto_v1_total`` deprecation counter; a dict without
-        ``proto`` is accepted as version 1 but counted on the older
-        ``service_proto_legacy_total`` counter.  Unknown keys are
-        ignored (and preserved in ``raw``); unknown ``proto`` versions
-        are rejected, and a ``proto: 2`` request must carry a valid
-        ``workload`` object (``error.kind = "bad_workload"``
-        otherwise).
+        ``service_proto_v1_total`` deprecation counter.  Unknown keys
+        are ignored (and preserved in ``raw``); a missing or unknown
+        ``proto`` is rejected (``error.kind = "unsupported_proto"``),
+        and so is a field of the wrong JSON type (``bad_request``):
+        ``validate`` is a boolean, ``seed``/``streams``/``retries``
+        and grid extents are integers, ``timeout_s`` is a number.  A
+        ``proto: 2`` request must carry a valid ``workload`` object
+        (``error.kind = "bad_workload"`` otherwise).
         """
         if not isinstance(data, dict):
             raise ProtoError("request must be a JSON object")
         version = _check_proto_version(data)
-        if version is None:
-            _warn_legacy_once()
-            if registry is not None:
-                registry.counter("service_proto_legacy_total").inc()
-        elif version == 1 and registry is not None:
+        if version == 1 and registry is not None:
             registry.counter("service_proto_v1_total").inc()
         workload_raw = data.get("workload")
         workload: Optional[Workload] = None
@@ -392,23 +384,11 @@ class Request:
                 spec=spec,
                 workload=workload,
                 grid=_parse_grid(data.get("grid")),
-                streams=int(data.get("streams", 1)),
-                seed=int(data.get("seed", 2014)),
-                timeout_s=(
-                    None
-                    if data.get("timeout_s") is None
-                    else float(data["timeout_s"])
-                ),
-                validate=(
-                    None
-                    if data.get("validate") is None
-                    else bool(data["validate"])
-                ),
-                retries=(
-                    None
-                    if data.get("retries") is None
-                    else int(data["retries"])
-                ),
+                streams=_field(data, "streams", "an integer", 1),
+                seed=_field(data, "seed", "an integer", 2014),
+                timeout_s=_field(data, "timeout_s", "a number"),
+                validate=_field(data, "validate", "a boolean"),
+                retries=_field(data, "retries", "an integer"),
                 trace_id=(
                     None
                     if data.get("trace_id") is None
@@ -485,11 +465,8 @@ class Response:
     multi-stage workloads additionally carry ``stages`` — one dict per
     pipeline stage (name, fingerprint, per-stage checksum, output
     count) so clients can validate every hand-off without the
-    intermediate grids ever crossing the wire.  The dataclass
-    also implements read-only mapping access (``resp["status"]``,
-    ``resp.get(...)``, ``key in resp``) over its wire encoding, so
-    call sites written against the old bare-dict responses keep
-    working unchanged.
+    intermediate grids ever crossing the wire.  Fields are read as
+    attributes; :meth:`to_json` is the wire encoding.
     """
 
     id: Optional[str]
@@ -582,19 +559,6 @@ class Response:
             return cls(**kwargs)
         except TypeError as exc:
             raise ProtoError(str(exc)) from exc
-
-    # -- legacy mapping access (bare-dict compatibility) ---------------
-    def __getitem__(self, key: str) -> Any:
-        return self.to_json()[key]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.to_json()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.to_json().get(key, default)
-
-    def keys(self):
-        return self.to_json().keys()
 
 
 def error_response(

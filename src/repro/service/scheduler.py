@@ -42,7 +42,7 @@ class ResultSlot:
     """A write-once response cell the submitter blocks on.
 
     Resolutions are typed :class:`repro.service.proto.Response`
-    objects (which still support legacy mapping access).
+    objects.
     """
 
     __slots__ = ("_event", "_response", "_on_resolve")

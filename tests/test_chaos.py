@@ -139,6 +139,7 @@ class TestWorkerFaultCampaigns:
             slots = [
                 svc.submit(
                     {
+                        "proto": 1,
                         "id": rid,
                         "benchmark": "DENOISE",
                         "grid": [12, 16],
@@ -151,10 +152,10 @@ class TestWorkerFaultCampaigns:
             snap = svc.metrics.snapshot()
         assert len(replies) == len(ids)
         for k, reply in enumerate(replies):
-            assert reply["status"] in ("ok", "error")
-            if reply["status"] == "ok":
-                assert reply["checksum"] == golden[k]
-        assert sum(r["status"] == "ok" for r in replies) >= 10
+            assert reply.status in ("ok", "error")
+            if reply.status == "ok":
+                assert reply.checksum == golden[k]
+        assert sum(r.status == "ok" for r in replies) >= 10
         restarts = snap["counters"].get(
             'service_worker_restarts_total{reason="death"}', 0
         )
@@ -173,6 +174,7 @@ class TestWorkerFaultCampaigns:
             slots = [
                 svc.submit(
                     {
+                        "proto": 1,
                         "id": rid,
                         "benchmark": "SOBEL",
                         "grid": [10, 12],
@@ -184,10 +186,10 @@ class TestWorkerFaultCampaigns:
             replies = [s.result(90.0) for s in slots]
             snap = svc.metrics.snapshot()
         for k, reply in enumerate(replies):
-            assert reply["status"] in ("ok", "error")
-            if reply["status"] == "ok":
-                assert reply["checksum"] == golden[k]
-        assert sum(r["status"] == "ok" for r in replies) >= 6
+            assert reply.status in ("ok", "error")
+            if reply.status == "ok":
+                assert reply.checksum == golden[k]
+        assert sum(r.status == "ok" for r in replies) >= 6
         assert (
             snap["counters"].get(
                 'service_worker_restarts_total{reason="hang"}', 0
@@ -202,6 +204,7 @@ class TestWorkerFaultCampaigns:
             replies = [
                 svc.handle(
                     {
+                        "proto": 1,
                         "benchmark": "SOBEL",
                         "grid": [10, 12],
                         "seed": k,
@@ -210,9 +213,9 @@ class TestWorkerFaultCampaigns:
                 )
                 for k in range(6)
             ]
-        assert all(r["status"] == "ok" for r in replies)
+        assert all(r.status == "ok" for r in replies)
         assert all(
-            r["checksum"] == golden_checksum(spec, seed=k)
+            r.checksum == golden_checksum(spec, seed=k)
             for k, r in enumerate(replies)
         )
 
@@ -229,13 +232,13 @@ class TestWorkerFaultCampaigns:
         with svc:
             lethal = [
                 svc.handle(
-                    {"benchmark": "DENOISE", "grid": [12, 16]},
+                    {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16]},
                     wait_timeout=90.0,
                 )
                 for _ in range(3)
             ]
             bystander = svc.handle(
-                {"benchmark": "SOBEL", "grid": [10, 12]},
+                {"proto": 1, "benchmark": "SOBEL", "grid": [10, 12]},
                 wait_timeout=90.0,
             )
             state = svc.executor.breaker_state(lethal_fp)
@@ -244,14 +247,14 @@ class TestWorkerFaultCampaigns:
         # and once the breaker opens it is rejected without touching a
         # worker at all.
         assert all(
-            r["status"] in ("error", "circuit_open") for r in lethal
+            r.status in ("error", "circuit_open") for r in lethal
         )
-        assert lethal[-1]["status"] == "circuit_open"
+        assert lethal[-1].status == "circuit_open"
         # The breaker-aware client hint: cooldown remaining, so a
         # client can back off exactly that long instead of guessing.
-        assert 0.0 < lethal[-1]["retry_after_s"] <= 60.0
-        assert lethal[-1]["error"]["kind"] == "circuit_open"
-        assert bystander["status"] == "ok"
+        assert 0.0 < lethal[-1].retry_after_s <= 60.0
+        assert lethal[-1].error.kind == "circuit_open"
+        assert bystander.status == "ok"
         assert state == "open"
         counters = snap["counters"]
         assert (
@@ -291,18 +294,18 @@ class TestPlanMutationCampaign:
         with svc:
             svc.cache.put(mutated)
             poisoned = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=60.0,
             )
             healed = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=60.0,
             )
-        assert poisoned["status"] == "validation_failed"
-        assert poisoned["cache"] == "hit"  # the poison was served...
-        assert healed["status"] == "ok"  # ...once: evicted, recompiled
-        assert healed["cache"] == "miss"
-        assert healed["validated"] is True
+        assert poisoned.status == "validation_failed"
+        assert poisoned.cache == "hit"  # the poison was served...
+        assert healed.status == "ok"  # ...once: evicted, recompiled
+        assert healed.cache == "miss"
+        assert healed.validated is True
 
     @pytest.mark.parametrize("kind", PLAN_MUTATIONS)
     def test_mutations_caught_under_process_pool(
@@ -322,16 +325,16 @@ class TestPlanMutationCampaign:
         with svc:
             svc.cache.put(mutated)
             poisoned = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=60.0,
             )
             healed = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=60.0,
             )
-        assert poisoned["status"] == "validation_failed"
-        assert healed["status"] == "ok"
-        assert healed["validated"] is True
+        assert poisoned.status == "validation_failed"
+        assert healed.status == "ok"
+        assert healed.validated is True
 
     def test_mutation_caught_despite_warm_worker_local_cache(
         self, denoise_plan
@@ -350,23 +353,23 @@ class TestPlanMutationCampaign:
         )
         with svc:
             warm = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=60.0,
             )
-            assert warm["status"] == "ok"  # worker-local cache now hot
+            assert warm.status == "ok"  # worker-local cache now hot
             svc.cache.put(mutated)  # poison only the shared entry
             poisoned = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=60.0,
             )
             healed = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=60.0,
             )
-        assert poisoned["status"] == "validation_failed"
-        assert poisoned["cache"] == "hit"
-        assert healed["status"] == "ok"
-        assert healed["validated"] is True
+        assert poisoned.status == "validation_failed"
+        assert poisoned.cache == "hit"
+        assert healed.status == "ok"
+        assert healed.validated is True
 
 
 class TestDiskCorruptionCampaign:
@@ -375,15 +378,15 @@ class TestDiskCorruptionCampaign:
         self, mode, tmp_path
     ):
         spec = small_spec(SOBEL)
-        req = {"spec": spec.to_json()}
+        req = {"proto": 1, "spec": spec.to_json()}
         seeder = StencilService(
             ServiceConfig(workers=1, cache_dir=str(tmp_path)),
             registry=MetricsRegistry(),
         )
         with seeder:
             seeded = seeder.handle(dict(req), wait_timeout=60.0)
-        assert seeded["status"] == "ok"
-        path = tmp_path / (seeded["fingerprint"] + ".json")
+        assert seeded.status == "ok"
+        path = tmp_path / (seeded.fingerprint + ".json")
         assert path.exists()
         corrupt_disk_file(str(path), mode, seed=1)
 
@@ -394,9 +397,9 @@ class TestDiskCorruptionCampaign:
         with svc:
             reply = svc.handle(dict(req), wait_timeout=60.0)
             snap = svc.metrics.snapshot()
-        assert reply["status"] == "ok"
-        assert reply["cache"] == "miss"  # never served from the wreck
-        assert reply["checksum"] == seeded["checksum"]
+        assert reply.status == "ok"
+        assert reply.cache == "miss"  # never served from the wreck
+        assert reply.checksum == seeded.checksum
         assert (
             snap["counters"]["service_cache_disk_corrupt_total"] == 1
         )
@@ -409,5 +412,5 @@ class TestDiskCorruptionCampaign:
         )
         with fresh:
             warm = fresh.handle(dict(req), wait_timeout=60.0)
-        assert warm["status"] == "ok"
-        assert warm["cache"] == "disk"
+        assert warm.status == "ok"
+        assert warm.cache == "disk"

@@ -51,13 +51,14 @@ class TestThreadCompiledBackend:
             for seed in range(4):
                 reply = svc.handle(
                     {
+                        "proto": 1,
                         "benchmark": "DENOISE",
                         "grid": list(spec.grid),
                         "seed": seed,
                     }
                 )
-                assert reply["status"] == "ok"
-                assert reply["checksum"] == expected[seed]
+                assert reply.status == "ok"
+                assert reply.checksum == expected[seed]
         snap = registry.snapshot()
         assert (
             counter(
@@ -81,14 +82,15 @@ class TestThreadCompiledBackend:
         with svc:
             reply = svc.handle(
                 {
+                    "proto": 1,
                     "benchmark": "SOBEL",
                     "grid": [10, 12],
                     "streams": 2,
                     "seed": 1,
                 }
             )
-        assert reply["status"] == "ok"
-        assert reply["checksum"] == golden_checksum(spec, 1)
+        assert reply.status == "ok"
+        assert reply.checksum == golden_checksum(spec, 1)
         snap = registry.snapshot()
         assert (
             counter(
@@ -112,10 +114,11 @@ class TestThreadCompiledBackend:
         )
         with svc:
             reply = svc.handle(
-                {"benchmark": "DENOISE", "grid": [12, 16], "seed": 0}
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+                 "seed": 0}
             )
-        assert reply["status"] == "ok"
-        assert reply["validated"] is True
+        assert reply.status == "ok"
+        assert reply.validated is True
 
 
 class TestProcessCompiledBackend:
@@ -132,14 +135,15 @@ class TestProcessCompiledBackend:
             for seed in range(3):
                 reply = svc.handle(
                     {
+                        "proto": 1,
                         "benchmark": "DENOISE",
                         "grid": list(spec.grid),
                         "seed": seed,
                     },
                     wait_timeout=60.0,
                 )
-                assert reply["status"] == "ok"
-                assert reply["checksum"] == expected[seed]
+                assert reply.status == "ok"
+                assert reply.checksum == expected[seed]
         snap = registry.snapshot()
         assert (
             counter(
@@ -160,6 +164,7 @@ class TestProcessCompiledBackend:
         with svc:
             reply = svc.handle(
                 {
+                    "proto": 1,
                     "benchmark": "SOBEL",
                     "grid": [10, 12],
                     "streams": 2,
@@ -167,8 +172,8 @@ class TestProcessCompiledBackend:
                 },
                 wait_timeout=60.0,
             )
-        assert reply["status"] == "ok"
-        assert reply["checksum"] == golden_checksum(spec, 0)
+        assert reply.status == "ok"
+        assert reply.checksum == golden_checksum(spec, 0)
         snap = registry.snapshot()
         assert (
             counter(
@@ -200,10 +205,11 @@ class TestProcessCompiledBackend:
         )
         with svc:
             reply = svc.handle(
-                {"benchmark": "DENOISE", "grid": [12, 16], "seed": 0},
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+                 "seed": 0},
                 wait_timeout=60.0,
             )
-        assert reply["status"] == "ok"
+        assert reply.status == "ok"
         sidecars = [
             f for f in os.listdir(cache_dir) if f.endswith(".lower.json")
         ]
@@ -219,13 +225,14 @@ class TestSidecarCacheCompat:
         )
         with svc:
             reply = svc.handle(
-                {"benchmark": "DENOISE", "grid": [12, 16], "seed": 0}
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+                 "seed": 0}
             )
-        assert reply["status"] == "ok"
+        assert reply.status == "ok"
         assert not any(
             f.endswith(".lower.json") for f in os.listdir(cache_dir)
         )
-        return reply["fingerprint"], reply["checksum"]
+        return reply.fingerprint, reply.checksum
 
     def test_pre_pr_plan_json_triggers_one_relowering(
         self, registry, tmp_path
@@ -240,13 +247,14 @@ class TestSidecarCacheCompat:
             for seed in (0, 1):
                 reply = svc.handle(
                     {
+                        "proto": 1,
                         "benchmark": "DENOISE",
                         "grid": [12, 16],
                         "seed": seed,
                     }
                 )
-                assert reply["status"] == "ok"
-            assert reply["fingerprint"] == fp
+                assert reply.status == "ok"
+            assert reply.fingerprint == fp
         snap = registry.snapshot()
         # Loaded from disk, lowered exactly once, never counted corrupt.
         assert (
@@ -276,10 +284,11 @@ class TestSidecarCacheCompat:
         )
         with svc:
             reply = svc.handle(
-                {"benchmark": "DENOISE", "grid": [12, 16], "seed": 0}
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+                 "seed": 0}
             )
-        assert reply["status"] == "ok"
-        assert reply["checksum"] == checksum
+        assert reply.status == "ok"
+        assert reply.checksum == checksum
         snap = registry.snapshot()
         assert counter(snap, "service_cache_sidecar_corrupt_total") == 1
         # Sidecar corruption is tracked separately from plan-file
@@ -296,9 +305,10 @@ class TestSidecarCacheCompat:
         )
         with svc:
             reply = svc.handle(
-                {"benchmark": "DENOISE", "grid": [12, 16], "seed": 0}
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+                 "seed": 0}
             )
-            fp = reply["fingerprint"]
+            fp = reply.fingerprint
             assert os.path.exists(
                 os.path.join(cache_dir, f"{fp}.lower.json")
             )
@@ -341,14 +351,14 @@ class TestProgramMutationCampaign:
         with svc:
             svc.cache.put(mutated)
             poisoned = svc.handle(
-                {"spec": spec.to_json()}, wait_timeout=60.0
+                {"proto": 1, "spec": spec.to_json()}, wait_timeout=60.0
             )
             healed = svc.handle(
-                {"spec": spec.to_json()}, wait_timeout=60.0
+                {"proto": 1, "spec": spec.to_json()}, wait_timeout=60.0
             )
-        assert poisoned["status"] == "validation_failed"
-        assert healed["status"] == "ok"
-        assert healed["checksum"] == golden_checksum(spec, 2014)
+        assert poisoned.status == "validation_failed"
+        assert healed.status == "ok"
+        assert healed.checksum == golden_checksum(spec, 2014)
 
     @pytest.mark.parametrize("kind", PROGRAM_MUTATIONS)
     def test_mutations_caught_under_process_pool(self, kind, registry):
@@ -363,14 +373,14 @@ class TestProgramMutationCampaign:
         with svc:
             svc.cache.put(mutated)
             poisoned = svc.handle(
-                {"spec": spec.to_json()}, wait_timeout=60.0
+                {"proto": 1, "spec": spec.to_json()}, wait_timeout=60.0
             )
             healed = svc.handle(
-                {"spec": spec.to_json()}, wait_timeout=60.0
+                {"proto": 1, "spec": spec.to_json()}, wait_timeout=60.0
             )
-        assert poisoned["status"] == "validation_failed"
-        assert healed["status"] == "ok"
-        assert healed["checksum"] == golden_checksum(spec, 2014)
+        assert poisoned.status == "validation_failed"
+        assert healed.status == "ok"
+        assert healed.checksum == golden_checksum(spec, 2014)
 
 
 class TestCompiledChaosCampaign:
@@ -404,6 +414,7 @@ class TestCompiledChaosCampaign:
             slots = [
                 svc.submit(
                     {
+                        "proto": 1,
                         "id": rid,
                         "benchmark": "DENOISE",
                         "grid": [12, 16],
@@ -416,10 +427,10 @@ class TestCompiledChaosCampaign:
             snap = svc.metrics.snapshot()
         assert len(replies) == len(ids)
         for k, reply in enumerate(replies):
-            assert reply["status"] in ("ok", "error")
-            if reply["status"] == "ok":
-                assert reply["checksum"] == golden[k]
-        assert sum(r["status"] == "ok" for r in replies) >= 10
+            assert reply.status in ("ok", "error")
+            if reply.status == "ok":
+                assert reply.checksum == golden[k]
+        assert sum(r.status == "ok" for r in replies) >= 10
         assert (
             counter(
                 snap, 'service_worker_restarts_total{reason="death"}'
@@ -493,13 +504,15 @@ class TestLoweringReport:
             for seed in range(3):
                 svc.handle(
                     {
+                        "proto": 1,
                         "benchmark": "DENOISE",
                         "grid": [12, 16],
                         "seed": seed,
                     }
                 )
             svc.handle(
-                {"spec": skewed_denoise(8, 10).to_json(), "seed": 0}
+                {"proto": 1, "spec": skewed_denoise(8, 10).to_json(),
+                 "seed": 0}
             )
         return registry.snapshot()
 
@@ -526,7 +539,8 @@ class TestLoweringReport:
         svc = StencilService(ServiceConfig(), registry=registry)
         with svc:
             svc.handle(
-                {"benchmark": "DENOISE", "grid": [12, 16], "seed": 0}
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+                 "seed": 0}
             )
         text = format_service_metrics(registry.snapshot())
         assert "lowering (compiled backend)" not in text

@@ -291,10 +291,16 @@ class TestCliRobustness:
         lines = "\n".join(
             [
                 json.dumps(
-                    {"id": "a", "benchmark": "SOBEL", "grid": [10, 12]}
+                    {"proto": 1, "id": "a", "benchmark": "SOBEL",
+                     "grid": [10, 12]}
                 ),
                 "not json at all",
-                json.dumps({"id": "b", "benchmark": "BOGUS"}),
+                json.dumps({"proto": 1, "id": "b", "benchmark": "BOGUS"}),
+                json.dumps({"id": "c", "benchmark": "SOBEL"}),
+                json.dumps(
+                    {"proto": 1, "id": "d", "benchmark": "DENOISE",
+                     "grid": [12, 16]}
+                ),
             ]
         )
         result = subprocess.run(
@@ -317,8 +323,15 @@ class TestCliRobustness:
             "ok",
             "invalid",
             "invalid",
+            "invalid",
+            "ok",
         ]
         assert replies[0]["id"] == "a"
+        # The unversioned line gets the typed rejection, in order, and
+        # the line after it is still served.
+        assert replies[3]["id"] == "c"
+        assert replies[3]["error"]["kind"] == "unsupported_proto"
+        assert replies[4]["id"] == "d"
 
 
 class TestApiDocsGenerator:

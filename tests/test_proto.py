@@ -13,8 +13,10 @@ the contract:
   on parse, and unknown ``proto`` versions are rejected up front;
 * the proto/shape cross-checks reject mixed envelopes with
   ``error.kind = "bad_workload"``;
-* legacy bare dicts still parse through the compatibility shim and
-  increment the ``service_proto_legacy_total`` deprecation counter.
+* every request names its ``proto`` (an unversioned dict is
+  ``unsupported_proto``), every field has its JSON type (``bad_request``
+  otherwise), and a :class:`Response` is read by attribute, not as a
+  mapping.
 """
 
 import json
@@ -229,6 +231,37 @@ class TestRequestRoundTrip:
         )
         assert parsed.grid == (10, 12)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("validate", "false"),
+            ("validate", "no"),
+            ("validate", "0"),
+            ("validate", 0),
+            ("validate", 1),
+            ("seed", 2.7),
+            ("seed", 7.0),
+            ("seed", "7"),
+            ("seed", True),
+            ("streams", 2.0),
+            ("streams", False),
+            ("retries", 1.5),
+            ("retries", True),
+            ("timeout_s", "30"),
+            ("timeout_s", True),
+            ("grid", [10.9, 12]),
+            ("grid", [10, True]),
+            ("grid", ["10", "12"]),
+            ("grid", 24),
+            ("grid", "10.9x12"),
+        ],
+    )
+    def test_mistyped_field_is_bad_request(self, field, value):
+        wire = {"proto": 1, "benchmark": "SOBEL", field: value}
+        with pytest.raises(ProtoError) as excinfo:
+            Request.from_json(wire)
+        assert excinfo.value.kind == "bad_request"
+
     def test_bad_fields_raise_proto_error(self):
         for bad in (
             {"proto": 1, "benchmark": "SOBEL", "timeout_s": 0},
@@ -253,16 +286,14 @@ class TestResponseRoundTrip:
         assert parsed == resp
         assert Response.from_json(parsed.to_json()) == parsed
 
-    @settings(max_examples=100, deadline=None)
-    @given(response_strategy())
-    def test_mapping_access_matches_wire_encoding(self, resp):
-        wire = resp.to_json()
-        for key, value in wire.items():
-            assert key in resp
-            assert resp[key] == value
-            assert resp.get(key) == value
-        assert resp.get("definitely_not_a_field") is None
-        assert set(resp.keys()) == set(wire.keys())
+    def test_response_is_not_a_mapping(self):
+        resp = Response(id=None, status="ok")
+        with pytest.raises(TypeError):
+            resp["status"]
+        with pytest.raises(TypeError):
+            "status" in resp
+        assert not hasattr(resp, "get")
+        assert not hasattr(resp, "keys")
 
     def test_failure_without_error_gets_default_kind(self):
         for status in STATUSES:
@@ -277,18 +308,22 @@ class TestResponseRoundTrip:
         with pytest.raises(ProtoError):
             Response(id="r", status="sideways")
         with pytest.raises(ProtoError):
-            Response.from_json({"id": "r", "status": "sideways"})
+            Response.from_json(
+                {"proto": 2, "id": "r", "status": "sideways"}
+            )
 
     def test_missing_status_rejected(self):
         with pytest.raises(ProtoError):
-            Response.from_json({"id": "r"})
+            Response.from_json({"proto": 2, "id": "r"})
 
-    def test_legacy_string_error_parses_as_internal(self):
-        parsed = Response.from_json(
-            {"id": "r", "status": "error", "error": "it broke"}
-        )
-        assert parsed.error.kind == "internal"
-        assert parsed.error.detail == "it broke"
+    def test_string_error_rejected(self):
+        with pytest.raises(ProtoError):
+            ErrorInfo.from_json("it broke")
+        with pytest.raises(ProtoError):
+            Response.from_json(
+                {"proto": 2, "id": "r", "status": "error",
+                 "error": "it broke"}
+            )
 
 
 class TestVersioning:
@@ -300,15 +335,20 @@ class TestVersioning:
         with pytest.raises(ProtoError):
             Response.from_json({"proto": 7, "id": "r", "status": "ok"})
 
-    def test_legacy_dict_counts_deprecation(self):
+    @pytest.mark.parametrize("proto", ["absent", None])
+    def test_unversioned_dict_rejected(self, proto):
+        wire = {"benchmark": "SOBEL"}
+        if proto != "absent":
+            wire["proto"] = proto
         registry = MetricsRegistry()
-        Request.from_json({"benchmark": "SOBEL"}, registry=registry)
-        Request.from_json(
-            {"proto": 1, "benchmark": "SOBEL"}, registry=registry
-        )
-        assert (
-            registry.counter("service_proto_legacy_total").value == 1
-        )
+        with pytest.raises(ProtoError) as excinfo:
+            Request.from_json(wire, registry=registry)
+        assert excinfo.value.kind == "unsupported_proto"
+        assert "proto 1 and 2" in str(excinfo.value)
+        assert registry.snapshot()["counters"] == {}
+        with pytest.raises(ProtoError) as excinfo:
+            Response.from_json({"id": "r", "status": "ok"})
+        assert excinfo.value.kind == "unsupported_proto"
 
     def test_proto_v1_counts_on_own_counter(self):
         registry = MetricsRegistry()
@@ -322,23 +362,9 @@ class TestVersioning:
             },
             registry=registry,
         )
-        assert registry.counter("service_proto_v1_total").value == 1
-        assert (
-            registry.counter("service_proto_legacy_total").value == 0
-        )
-
-    def test_legacy_dict_warns_on_stderr_once(self, capsys):
-        from repro.service import proto as proto_mod
-
-        proto_mod._reset_legacy_warning()
-        Request.from_json({"benchmark": "SOBEL"})
-        Request.from_json({"benchmark": "DENOISE"})
-        err = capsys.readouterr().err
-        assert err.count("legacy bare-dict request") == 1
-        # Versioned requests never trigger the warning.
-        proto_mod._reset_legacy_warning()
-        Request.from_json({"proto": 1, "benchmark": "SOBEL"})
-        assert "legacy" not in capsys.readouterr().err
+        assert registry.snapshot()["counters"] == {
+            "service_proto_v1_total": 1
+        }
 
 
 class TestTracePropagation:
@@ -377,7 +403,7 @@ class TestErrorTaxonomy:
         resp = error_response(
             "r9", "circuit_open", "cooling down", retry_after_s=1.5
         )
-        assert resp["status"] == "circuit_open"
-        assert resp["error"]["kind"] == "circuit_open"
-        assert resp["retry_after_s"] == 1.5
+        assert resp.status == "circuit_open"
+        assert resp.error.kind == "circuit_open"
+        assert resp.retry_after_s == 1.5
         assert Response.from_json(resp.to_json()) == resp

@@ -38,14 +38,14 @@ GRAPH = {
 #: sequential Python sum disagree in the last ulp.
 WORKLOADS = {
     "single": [
-        {"id": "s-den", "benchmark": "DENOISE", "grid": [32, 32],
-         "seed": 2014},
-        {"id": "s-sob", "benchmark": "SOBEL", "grid": [64, 64],
-         "seed": 7},
-        {"id": "s-3d", "benchmark": "DENOISE_3D", "grid": [12, 12, 12],
-         "seed": 1},
-        {"id": "s-val", "benchmark": "RICIAN", "grid": [12, 14],
-         "seed": 3, "validate": True},
+        {"proto": 1, "id": "s-den", "benchmark": "DENOISE",
+         "grid": [32, 32], "seed": 2014},
+        {"proto": 1, "id": "s-sob", "benchmark": "SOBEL",
+         "grid": [64, 64], "seed": 7},
+        {"proto": 1, "id": "s-3d", "benchmark": "DENOISE_3D",
+         "grid": [12, 12, 12], "seed": 1},
+        {"proto": 1, "id": "s-val", "benchmark": "RICIAN",
+         "grid": [12, 14], "seed": 3, "validate": True},
     ],
     "iterate": [
         {"proto": 2, "id": "i-a", "grid": [32, 32], "seed": 2014,

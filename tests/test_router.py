@@ -14,8 +14,8 @@ tests spawn *real* ``repro serve`` subprocess nodes through
   (zero dropped), survivors complete on the sibling from the shared
   disk cache tier, and the whole campaign replays deterministically;
 * **protocol** — every response the router returns parses as a
-  ``proto: 1`` :class:`Response`, and legacy unversioned dict requests
-  still work through the compat shim (counted as deprecated).
+  versioned :class:`Response`, and an unversioned dict request is
+  answered ``invalid`` / ``unsupported_proto`` without reaching a node.
 """
 
 import collections
@@ -385,6 +385,14 @@ class TestRouterFailover:
         assert restarts >= 1
 
 
+def _dispatch_total(registry):
+    """``router_dispatch_total`` summed over its node labels."""
+    return sum(
+        v for k, v in registry.snapshot()["counters"].items()
+        if k.startswith("router_dispatch_total")
+    )
+
+
 @pytest.mark.slow
 class TestRouterProtocolSurface:
     def test_shim_invalid_and_churn_metrics(self, tmp_path):
@@ -395,15 +403,23 @@ class TestRouterProtocolSurface:
         )
         router = Router(config, registry=registry).start()
         try:
-            # Legacy unversioned dict still works through the shim...
-            legacy = router.handle(
-                {"benchmark": "SOBEL", "grid": [10, 12]},
+            versioned = router.handle(
+                {"proto": 1, "benchmark": "SOBEL", "grid": [10, 12]},
                 wait_timeout=120,
             )
-            assert legacy.ok
-            # ...and is counted as deprecated traffic.
-            counters = registry.snapshot()["counters"]
-            assert counters.get("service_proto_legacy_total") == 1
+            assert versioned.ok
+            dispatched = _dispatch_total(registry)
+            assert dispatched == 1
+            # An unversioned dict is rejected at the router with the
+            # typed error and never dispatched to a node.
+            unversioned = router.handle(
+                {"id": "bare", "benchmark": "SOBEL", "grid": [10, 12]},
+                wait_timeout=30,
+            )
+            assert unversioned.status == "invalid"
+            assert unversioned.id == "bare"
+            assert unversioned.error.kind == "unsupported_proto"
+            assert _dispatch_total(registry) == dispatched
             # Unknown benchmark: rejected at the router, no node trip.
             bad = router.handle(
                 {"proto": 1, "benchmark": "BOGUS"}, wait_timeout=30

@@ -287,41 +287,59 @@ class TestServiceApi:
         spec = small_spec(SOBEL)
         with self._service() as svc:
             reply = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=30.0,
             )
-        assert reply["status"] == "ok"
-        assert reply["benchmark"] == "SOBEL"
-        assert reply["validated"] is True
+        assert reply.status == "ok"
+        assert reply.benchmark == "SOBEL"
+        assert reply.validated is True
 
     def test_same_seed_same_checksum(self):
         with self._service() as svc:
-            req = {"benchmark": "DENOISE", "grid": [12, 16], "seed": 7}
+            req = {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+                   "seed": 7}
             first = svc.handle(req, wait_timeout=30.0)
             second = svc.handle(req, wait_timeout=30.0)
-        assert first["status"] == second["status"] == "ok"
-        assert first["checksum"] == second["checksum"]
-        assert first["fingerprint"] == second["fingerprint"]
-        assert second["cache"] == "hit"
+        assert first.status == second.status == "ok"
+        assert first.checksum == second.checksum
+        assert first.fingerprint == second.fingerprint
+        assert second.cache == "hit"
 
     def test_invalid_requests_get_responses(self):
         with self._service() as svc:
             bad = [
-                {},  # neither benchmark nor spec
-                {"benchmark": "DENOISE", "spec": {}},  # both
-                {"benchmark": "NOPE"},
-                {"benchmark": "DENOISE", "grid": "12xbanana"},
-                {"benchmark": "DENOISE", "grid": [0, 5]},
-                {"benchmark": "DENOISE", "timeout_s": -1},
+                {"proto": 1},  # neither benchmark nor spec
+                {"proto": 1, "benchmark": "DENOISE", "spec": {}},  # both
+                {"proto": 1, "benchmark": "NOPE"},
+                {"proto": 1, "benchmark": "DENOISE", "grid": "12xbanana"},
+                {"proto": 1, "benchmark": "DENOISE", "grid": [0, 5]},
+                {"proto": 1, "benchmark": "DENOISE", "timeout_s": -1},
             ]
             replies = [svc.handle(r, wait_timeout=10.0) for r in bad]
-        assert [r["status"] for r in replies] == ["invalid"] * len(bad)
-        assert all("error" in r for r in replies)
+        assert [r.status for r in replies] == ["invalid"] * len(bad)
+        assert all(r.error is not None for r in replies)
+
+    def test_unversioned_request_is_invalid(self):
+        with self._service() as svc:
+            reply = svc.submit(
+                {"id": "bare", "benchmark": "DENOISE", "grid": [12, 16]}
+            ).result(5.0)
+            after = svc.handle(
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16]},
+                wait_timeout=30.0,
+            )
+        assert reply.status == "invalid"
+        assert reply.id == "bare"
+        assert reply.error.kind == "unsupported_proto"
+        assert after.status == "ok"
+        counters = svc.metrics.snapshot()["counters"]
+        assert counters['service_requests_total{status="invalid"}'] == 1
+        assert counters['service_requests_total{status="ok"}'] == 1
 
     def test_bad_json_line(self):
         with self._service() as svc:
             reply = svc.submit_json("{not json").result(5.0)
-        assert reply["status"] == "invalid"
+        assert reply.status == "invalid"
 
     def test_metrics_control_request(self):
         """A ``{"control": "metrics"}`` document on the request
@@ -329,9 +347,9 @@ class TestServiceApi:
         with self._service() as svc:
             assert (
                 svc.handle(
-                    {"benchmark": "DENOISE", "grid": [12, 16]},
+                    {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16]},
                     wait_timeout=30.0,
-                )["status"]
+                ).status
                 == "ok"
             )
             reply = svc.submit(
@@ -372,11 +390,11 @@ class TestServiceApi:
         )
         with svc:
             reply = svc.handle(
-                {"benchmark": "DENOISE", "grid": [12, 16]},
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16]},
                 wait_timeout=30.0,
             )
-        assert reply["status"] == "ok"
-        assert reply["attempts"] == 3
+        assert reply.status == "ok"
+        assert reply.attempts == 3
         snap = svc.metrics.snapshot()
         assert snap["counters"]["service_retries_total"] == 2
 
@@ -391,11 +409,11 @@ class TestServiceApi:
         )
         with svc:
             reply = svc.handle(
-                {"benchmark": "DENOISE", "grid": [12, 16]},
+                {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16]},
                 wait_timeout=30.0,
             )
-        assert reply["status"] == "error"
-        assert "permanent fault" in reply["error"]["detail"]
+        assert reply.status == "error"
+        assert "permanent fault" in reply.error.detail
 
     def test_queued_deadline_times_out(self):
         gate = threading.Event()
@@ -411,15 +429,17 @@ class TestServiceApi:
         )
         svc.start()
         blocker = svc.submit(
-            {"benchmark": "DENOISE", "grid": [12, 16], "slow": True}
+            {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+             "slow": True}
         )
         victim = svc.submit(
-            {"benchmark": "DENOISE", "grid": [12, 16], "timeout_s": 0.05}
+            {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16],
+             "timeout_s": 0.05}
         )
         time.sleep(0.3)  # victim's deadline passes while queued
         gate.set()
-        assert victim.result(10.0)["status"] == "timeout"
-        assert blocker.result(10.0)["status"] == "ok"
+        assert victim.result(10.0).status == "timeout"
+        assert blocker.result(10.0).status == "ok"
         svc.shutdown()
 
     def test_nondrain_shutdown_cancels_queued(self):
@@ -435,13 +455,13 @@ class TestServiceApi:
         )
         svc.start()
         slots = [
-            svc.submit({"benchmark": "DENOISE", "grid": [12, 16]})
+            svc.submit({"proto": 1, "benchmark": "DENOISE", "grid": [12, 16]})
             for _ in range(4)
         ]
         time.sleep(0.2)  # worker picks up the first, rest stay queued
         threading.Timer(0.5, gate.set).start()  # unblock mid-drain
         svc.shutdown(drain=False, timeout=10.0)
-        statuses = [s.result(5.0)["status"] for s in slots]
+        statuses = [s.result(5.0).status for s in slots]
         assert statuses.count("cancelled") >= 1
         assert all(s in ("ok", "cancelled") for s in statuses)
 
@@ -450,8 +470,8 @@ class TestServiceApi:
         svc.start()
         svc.scheduler.close()
         reply = svc.submit(
-            {"benchmark": "DENOISE", "grid": [12, 16]}
+            {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16]}
         ).result(5.0)
-        assert reply["status"] == "rejected"
-        assert "draining" in reply["error"]["detail"]
+        assert reply.status == "rejected"
+        assert "draining" in reply.error.detail
         svc.shutdown()

@@ -32,6 +32,7 @@ def _mixed_requests(n):
     names = sorted(SMALL_GRIDS)
     return [
         {
+            "proto": 1,
             "id": f"load-{k}",
             "benchmark": names[k % len(names)],
             "grid": list(SMALL_GRIDS[names[k % len(names)]]),
@@ -83,10 +84,10 @@ class TestServiceLoad:
 
         # Zero dropped-without-response: every slot resolved, id intact.
         assert len(replies) == N_REQUESTS
-        assert [r["id"] for r in replies] == [
+        assert [r.id for r in replies] == [
             r["id"] for r in requests
         ]
-        statuses = {r["status"] for r in replies}
+        statuses = {r.status for r in replies}
         assert statuses == {"ok"}, statuses
 
         # Clean drain: context-manager shutdown left nothing behind.
@@ -111,7 +112,7 @@ class TestServiceLoad:
         by_key = {}
         for req, reply in zip(requests, replies):
             key = (req["benchmark"], req["seed"])
-            by_key.setdefault(key, set()).add(reply["checksum"])
+            by_key.setdefault(key, set()).add(reply.checksum)
         assert all(len(sums) == 1 for sums in by_key.values())
 
     def test_warm_hit_10x_faster_than_cold_compile(self):
@@ -120,11 +121,12 @@ class TestServiceLoad:
         with StencilService(config, registry=registry) as svc:
             for k in range(24):
                 req = {
+                    "proto": 1,
                     "benchmark": "DENOISE",
                     "grid": list(SMALL_GRIDS["DENOISE"]),
                     "seed": k,
                 }
-                assert svc.handle(req, 60.0)["status"] == "ok"
+                assert svc.handle(req, 60.0).status == "ok"
 
         snap = registry.snapshot()
         cold = _hist(snap, "service_compile_ms", cache="miss")
@@ -160,14 +162,15 @@ class TestCanaryFaultInjection:
             workers=2, validate_every=1, cache_dir=str(tmp_path)
         )
         req = {
+            "proto": 1,
             "benchmark": "DENOISE",
             "grid": list(SMALL_GRIDS["DENOISE"]),
         }
         with StencilService(config, registry=registry) as svc:
             first = svc.handle(dict(req), 60.0)
-            assert first["status"] == "ok"
-            assert first["validated"] is True
-            fp = first["fingerprint"]
+            assert first.status == "ok"
+            assert first.validated is True
+            fp = first.fingerprint
 
             # Fault injection: poison the cached plan in both tiers.
             poisoned = self._corrupt(svc.cache.get(fp))
@@ -178,11 +181,11 @@ class TestCanaryFaultInjection:
             )
 
             flagged = svc.handle({**req, "validate": True}, 60.0)
-            assert flagged["status"] == "validation_failed"
-            assert flagged["validated"] is False
+            assert flagged.status == "validation_failed"
+            assert flagged.validated is False
             assert (
-                "deadlock" in flagged["error"]["detail"]
-                or "diverge" in flagged["error"]["detail"]
+                "deadlock" in flagged.error.detail
+                or "diverge" in flagged.error.detail
             )
 
             # The poisoned entry was evicted from memory *and* disk...
@@ -191,9 +194,9 @@ class TestCanaryFaultInjection:
 
             # ...so the next request recompiles and passes validation.
             healed = svc.handle({**req, "validate": True}, 60.0)
-            assert healed["status"] == "ok"
-            assert healed["cache"] == "miss"
-            assert healed["validated"] is True
+            assert healed.status == "ok"
+            assert healed.cache == "miss"
+            assert healed.validated is True
 
         snap = registry.snapshot()
         assert snap["counters"]["service_validation_failures_total"] == 1
@@ -203,6 +206,7 @@ class TestCanaryFaultInjection:
         """The cache trusts disk content by design; the canary doesn't."""
         registry = MetricsRegistry()
         req = {
+            "proto": 1,
             "benchmark": "SOBEL",
             "grid": list(SMALL_GRIDS["SOBEL"]),
         }
@@ -210,7 +214,7 @@ class TestCanaryFaultInjection:
             workers=1, validate_every=1, cache_dir=str(tmp_path)
         )
         with StencilService(config, registry=registry) as svc:
-            fp = svc.handle(dict(req), 60.0)["fingerprint"]
+            fp = svc.handle(dict(req), 60.0).fingerprint
 
         # Corrupt the persisted plan between service restarts.
         disk = tmp_path / f"{fp}.json"
@@ -224,5 +228,5 @@ class TestCanaryFaultInjection:
 
         with StencilService(config, registry=MetricsRegistry()) as svc:
             reply = svc.handle({**req, "validate": True}, 60.0)
-            assert reply["status"] == "validation_failed"
+            assert reply.status == "validation_failed"
             assert not disk.exists()  # canary evicted the disk tier too

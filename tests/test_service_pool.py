@@ -173,7 +173,7 @@ def process_service(**overrides):
 class TestProcessPool:
     def test_round_trip_matches_thread_mode(self):
         """Process-pool responses agree with the thread executor's."""
-        req = {"benchmark": "DENOISE", "grid": [12, 16], "seed": 7}
+        req = {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16], "seed": 7}
         with process_service() as svc:
             pooled = svc.handle(dict(req), wait_timeout=60.0)
         thread_svc = StencilService(
@@ -181,19 +181,19 @@ class TestProcessPool:
         )
         with thread_svc:
             threaded = thread_svc.handle(dict(req), wait_timeout=60.0)
-        assert pooled["status"] == threaded["status"] == "ok"
-        assert pooled["checksum"] == threaded["checksum"]
-        assert pooled["fingerprint"] == threaded["fingerprint"]
+        assert pooled.status == threaded.status == "ok"
+        assert pooled.checksum == threaded.checksum
+        assert pooled.fingerprint == threaded.fingerprint
 
     def test_repeat_requests_hit_cache(self):
-        req = {"benchmark": "SOBEL", "grid": [10, 12]}
+        req = {"proto": 1, "benchmark": "SOBEL", "grid": [10, 12]}
         with process_service() as svc:
             first = svc.handle(dict(req), wait_timeout=60.0)
             second = svc.handle(dict(req), wait_timeout=60.0)
             snap = svc.metrics.snapshot()
-        assert first["status"] == second["status"] == "ok"
-        assert first["cache"] == "miss"
-        assert second["cache"] == "hit"
+        assert first.status == second.status == "ok"
+        assert first.cache == "miss"
+        assert second.cache == "hit"
         counters = snap["counters"]
         assert counters['service_pool_jobs_total{outcome="ok"}'] >= 2
 
@@ -201,17 +201,17 @@ class TestProcessPool:
         spec = small_spec(DENOISE)
         with process_service() as svc:
             reply = svc.handle(
-                {"spec": spec.to_json(), "validate": True},
+                {"proto": 1, "spec": spec.to_json(), "validate": True},
                 wait_timeout=60.0,
             )
-        assert reply["status"] == "ok"
-        assert reply["validated"] is True
+        assert reply.status == "ok"
+        assert reply.validated is True
 
     def test_distinct_fingerprints_all_serve(self):
         with process_service() as svc:
             slots = [
                 svc.submit(
-                    {"benchmark": name, "grid": list(grid)}
+                    {"proto": 1, "benchmark": name, "grid": list(grid)}
                 )
                 for name, grid in (
                     ("DENOISE", (12, 16)),
@@ -221,8 +221,8 @@ class TestProcessPool:
                 )
             ]
             replies = [s.result(60.0) for s in slots]
-        assert [r["status"] for r in replies] == ["ok"] * 4
-        assert len({r["fingerprint"] for r in replies}) == 4
+        assert [r.status for r in replies] == ["ok"] * 4
+        assert len({r.fingerprint for r in replies}) == 4
 
     def test_breaker_state_defaults_closed(self):
         with process_service() as svc:
@@ -238,6 +238,7 @@ class TestDrainUnderFaults:
         slots = [
             svc.submit(
                 {
+                    "proto": 1,
                     "id": f"drain-{k}",
                     "benchmark": "DENOISE" if k % 2 else "SOBEL",
                     "grid": [12, 16] if k % 2 else [10, 12],
@@ -258,18 +259,18 @@ class TestDrainUnderFaults:
         # structured status, and a kill is never a wrong answer.
         assert len(replies) == 16
         assert all(
-            r["status"] in ("ok", "error", "timeout") for r in replies
+            r.status in ("ok", "error", "timeout") for r in replies
         )
-        assert sum(r["status"] == "ok" for r in replies) >= 14
+        assert sum(r.status == "ok" for r in replies) >= 14
         assert svc.scheduler.unresolved == 0
 
     def test_idle_worker_death_is_respawned(self):
         with process_service(workers=2) as svc:
             first = svc.handle(
-                {"benchmark": "SOBEL", "grid": [10, 12]},
+                {"proto": 1, "benchmark": "SOBEL", "grid": [10, 12]},
                 wait_timeout=60.0,
             )
-            assert first["status"] == "ok"
+            assert first.status == "ok"
             for shard in svc.executor._shards:
                 shard.proc.kill()
             deadline = time.monotonic() + 10.0
@@ -278,11 +279,11 @@ class TestDrainUnderFaults:
                     break
                 time.sleep(0.05)
             reply = svc.handle(
-                {"benchmark": "SOBEL", "grid": [10, 12]},
+                {"proto": 1, "benchmark": "SOBEL", "grid": [10, 12]},
                 wait_timeout=60.0,
             )
             snap = svc.metrics.snapshot()
-        assert reply["status"] == "ok"
+        assert reply.status == "ok"
         restarts = sum(
             v
             for k, v in snap["counters"].items()
