@@ -637,7 +637,7 @@ def _serve_listen(args, service) -> int:
             trickle_rate=args.sock_trickle_rate,
         )
     server = SocketServer(
-        service.submit_json,
+        service,
         host=host,
         port=port,
         backends=(getattr(args, "backend", "interpreted"),),
@@ -659,8 +659,12 @@ def _serve_listen(args, service) -> int:
     # Lifecycle stays on stdin: block until the supervisor closes it.
     for _ in sys.stdin:
         pass
-    server.stop()
+    # Graceful drain: no new connections, then every admitted request
+    # resolves — writing its reply — before the connections close.
+    # Requests still arriving meanwhile get a ``draining`` rejection.
+    server.stop_accepting()
     drained = service.shutdown(drain=True)
+    server.stop()
     print(
         f"drained: {drained}, cache "
         f"{service.cache.stats.hits} hits / "

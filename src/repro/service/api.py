@@ -396,7 +396,7 @@ class StencilService:
         responses — a submitter can always block on the slot, nothing
         is dropped without a response.
         """
-        if not self._started:
+        if not self._started and not self.scheduler.closed:
             self.start()
         if isinstance(request, dict) and "control" in request:
             return self._handle_control(request)

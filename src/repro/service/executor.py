@@ -780,8 +780,14 @@ class ExecutorBase:
     def _resolve(self, item: WorkItem, response: Response) -> None:
         if response.trace_id is None:
             response.trace_id = item.trace_id
-        if item.slot.resolve(response):
-            end_ns = time.perf_counter_ns()
+        # Stamp the end first: publishing runs the done callbacks (the
+        # TCP reply write), which the "reply" stage times on its own.
+        # Claim, record, then publish, so whoever sees the reply sees
+        # it counted.
+        end_ns = time.perf_counter_ns()
+        if not item.slot.claim(response):
+            return
+        try:
             record_span(
                 "service.request",
                 item.admitted_ns,
@@ -814,6 +820,8 @@ class ExecutorBase:
                 "service_request_latency_ms",
                 buckets=LATENCY_BUCKETS_MS,
             ).observe(response.latency_ms)
+        finally:
+            item.slot.publish()
 
     def _resolve_timeout(self, item: WorkItem) -> None:
         self._resolve(

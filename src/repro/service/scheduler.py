@@ -21,17 +21,20 @@ get a ``timeout`` response instead of burning a worker.
 
 from __future__ import annotations
 
+import logging
 import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..stencil.spec import StencilSpec
 from .fingerprint import CompileOptions
 from .proto import Response
 
 __all__ = ["QueueClosedError", "ResultSlot", "Scheduler", "WorkItem"]
+
+_log = logging.getLogger(__name__)
 
 
 class QueueClosedError(RuntimeError):
@@ -42,25 +45,86 @@ class ResultSlot:
     """A write-once response cell the submitter blocks on.
 
     Resolutions are typed :class:`repro.service.proto.Response`
-    objects.
+    objects.  Resolving is atomic: of any number of racing resolvers
+    exactly one wins, and only the winner wakes the waiters, runs the
+    done callbacks and then the drain hook (``on_resolve``).  Because
+    the callbacks run first, a reply a callback writes is out before
+    the scheduler counts its request as drained.
+
+    :meth:`resolve` is :meth:`claim` followed by :meth:`publish`; a
+    resolver with bookkeeping that every observer must see (the
+    executor's per-request metrics) claims, records, then publishes.
     """
 
-    __slots__ = ("_event", "_response", "_on_resolve")
+    __slots__ = (
+        "_event", "_response", "_on_resolve", "_lock", "_callbacks"
+    )
 
     def __init__(self, on_resolve=None) -> None:
         self._event = threading.Event()
+        #: The claimed response; None until some resolver wins.
         self._response: Optional[Response] = None
         self._on_resolve = on_resolve
+        self._lock = threading.Lock()
+        #: Pending done callbacks; None once published.
+        self._callbacks: Optional[List[Callable[[Response], None]]] = []
 
     def resolve(self, response: Response) -> bool:
-        """Set the response; returns False if already resolved."""
-        if self._event.is_set():
+        """Set and publish the response; False if already resolved."""
+        if not self.claim(response):
             return False
-        self._response = response
+        self.publish()
+        return True
+
+    def claim(self, response: Response) -> bool:
+        """Win the slot for ``response`` without publishing it yet.
+
+        Returns False if another resolver already won.  Nobody sees
+        the response until the winner calls :meth:`publish`.
+        """
+        with self._lock:
+            if self._response is not None:
+                return False
+            self._response = response
+        return True
+
+    def publish(self) -> None:
+        """Deliver the claimed response, once.
+
+        Wakes the waiters, runs every done callback on this thread,
+        then the drain hook.  A callback that raises is logged and
+        skipped, like :class:`concurrent.futures.Future` does, so the
+        rest still run and the resolver never sees the error.
+        """
+        with self._lock:
+            callbacks, self._callbacks = self._callbacks, None
+        if callbacks is None:
+            return
+        assert self._response is not None, "publish() before claim()"
         self._event.set()
+        for fn in callbacks:
+            self._run_callback(fn)
         if self._on_resolve is not None:
             self._on_resolve()
-        return True
+
+    def add_done_callback(self, fn: Callable[[Response], None]) -> None:
+        """Call ``fn(response)`` once the slot resolves.
+
+        Registered before publication, ``fn`` runs exactly once on the
+        resolving thread; registered after, it runs at once on the
+        caller's thread.
+        """
+        with self._lock:
+            if self._callbacks is not None:
+                self._callbacks.append(fn)
+                return
+        self._run_callback(fn)
+
+    def _run_callback(self, fn: Callable[[Response], None]) -> None:
+        try:
+            fn(self._response)
+        except Exception:
+            _log.exception("ResultSlot done callback %r raised", fn)
 
     def done(self) -> bool:
         return self._event.is_set()

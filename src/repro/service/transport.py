@@ -28,18 +28,21 @@ can span hosts, with robustness as the headline:
   so the socket chaos campaigns replay exactly like the worker ones.
 
 The server side (:class:`SocketServer`) wraps anything exposing the
-``submit_json(line) -> ResultSlot`` surface (a
+``submit(document)`` / ``submit_json(line) -> ResultSlot`` surface (a
 :class:`~repro.service.api.StencilService` behind ``repro serve
---listen``); the client side (:func:`connect_with_backoff` +
+--listen``) and writes each reply on the thread that resolves its slot;
+the client side (:func:`connect_with_backoff` +
 :class:`SocketConnection`) is what the router's TCP node endpoints are
 built from.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import select
 import socket
 import threading
 import time
@@ -47,7 +50,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chaos import ChaosConfig, ChaosInjector
-from .proto import PROTO_VERSION, error_response
+from .executor import observe_stage
+from .proto import PROTO_VERSION, Response, error_response
 
 __all__ = [
     "BackoffPolicy",
@@ -68,6 +72,12 @@ HANDSHAKE_VERSION = 1
 
 #: How long each side waits for the peer's hello line before giving up.
 HANDSHAKE_TIMEOUT_S = 5.0
+
+#: Longest one server-side write may wait on a peer that stops reading.
+#: Replies are written by the thread that resolves the request (an
+#: executor worker), so a stuck peer must not hold it: past this the
+#: connection is closed and the write counted as failed.
+SEND_TIMEOUT_S = 5.0
 
 
 class TransportError(RuntimeError):
@@ -484,6 +494,33 @@ class _Connection:
         self.write_lock = threading.Lock()
         self.half_open = False  # chaos: swallow all further responses
         self.closed = False
+        self.reader: Optional[threading.Thread] = None
+
+    def send(self, data: bytes) -> None:
+        """``sendall`` bounded by :data:`SEND_TIMEOUT_S` in total.
+
+        The caller holds :attr:`write_lock`.  Raises ``OSError`` —
+        ``TimeoutError`` once the peer has not drained its buffers in
+        time.  Sends never block, so the reader's blocking reads on
+        the same socket are unaffected.
+        """
+        view = memoryview(data)
+        deadline = None
+        while view:
+            try:
+                sent = self.sock.send(view, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                if deadline is None:
+                    deadline = time.monotonic() + SEND_TIMEOUT_S
+                remaining = deadline - time.monotonic()
+                poller = select.poll()
+                poller.register(self.sock, select.POLLOUT)
+                if remaining <= 0 or not poller.poll(remaining * 1e3):
+                    raise TimeoutError(
+                        f"peer did not read for {SEND_TIMEOUT_S}s"
+                    ) from None
+                continue
+            view = view[sent:]
 
     def close(self) -> None:
         if self.closed:
@@ -510,16 +547,32 @@ class SocketServer:
     immediately and out of band, so heartbeats stay honest while a
     slow compile occupies the service.
 
-    ``submit_json`` is the service surface
-    (``line -> ResultSlot``); everything reaching it is already
-    newline-stripped.  The server never drops a request without a
-    response: a request accepted before a connection dies still runs,
-    and its response write failure is counted, not raised.
+    One reader thread per connection parses each line once.  Request
+    objects go to ``service.submit(document) -> ResultSlot``; every
+    other line goes to ``service.submit_json(line) -> ResultSlot``
+    (already newline-stripped), so malformed lines get the service's
+    own error reply.  No thread is started per request: the reply is a
+    done callback on the slot (:meth:`ResultSlot.add_done_callback`),
+    encoded and written under the connection's write lock by whichever
+    thread resolves it — a worker, or the reader itself for an
+    immediate reply.  Only the trickle chaos fault, which sleeps
+    between chunks, writes from a thread of its own.  The encode and
+    write time lands on the ``reply`` stage of ``service_stage_ms``.
+    A write never blocks for more than :data:`SEND_TIMEOUT_S`: a peer
+    that stops reading has its connection closed, so it cannot stall
+    the workers that serve every other connection.
+
+    The server never drops a request without a response: a request
+    accepted before a connection dies still runs, and its response
+    write failure is counted, not raised.  For a graceful drain call
+    :meth:`stop_accepting`, drain the service, then :meth:`stop`; the
+    service resolves every admitted slot (writing its reply) before
+    its drain returns.
     """
 
     def __init__(
         self,
-        submit_json: Callable[[str], object],
+        service,
         host: str = "127.0.0.1",
         port: int = 0,
         node_id: Optional[str] = None,
@@ -528,7 +581,7 @@ class SocketServer:
         chaos: Optional[SocketChaos] = None,
         handshake_timeout_s: float = HANDSHAKE_TIMEOUT_S,
     ) -> None:
-        self._submit_json = submit_json
+        self._service = service
         self._host = host
         self._port = port
         self.hello = Hello(
@@ -572,7 +625,8 @@ class SocketServer:
         self._accept_thread.start()
         return self.address
 
-    def stop(self) -> None:
+    def stop_accepting(self) -> None:
+        """Close the listener; live connections keep serving."""
         self._stopping.set()
         if self._listener is not None:
             # close() alone does not wake a thread blocked in accept();
@@ -585,12 +639,29 @@ class SocketServer:
                 self._listener.close()
             except OSError:
                 pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
+
+    def stop(self) -> None:
+        """Stop accepting, then close every connection.
+
+        Each connection stops reading first and its reader is joined,
+        so a reply the reader is writing itself is out before the
+        socket closes.
+        """
+        self.stop_accepting()
         with self._conn_lock:
             conns = list(self._conns)
         for conn in conns:
+            try:
+                conn.sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        deadline = time.monotonic() + 5.0
+        for conn in conns:
+            if conn.reader is not None:
+                conn.reader.join(max(0.0, deadline - time.monotonic()))
             conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
 
     def __enter__(self) -> "SocketServer":
         self.start()
@@ -611,27 +682,31 @@ class SocketServer:
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
             )
             conn = _Connection(sock, address)
-            with self._conn_lock:
-                self._conns.append(conn)
-            threading.Thread(
+            conn.reader = threading.Thread(
                 target=self._serve_connection,
                 args=(conn,),
                 name=f"socket-server-conn-{address}",
                 daemon=True,
-            ).start()
+            )
+            with self._conn_lock:
+                self._conns.append(conn)
+            conn.reader.start()
 
     def _write_line(self, conn: _Connection, document: dict) -> bool:
         data = (
             json.dumps(document, sort_keys=True) + "\n"
         ).encode("utf-8")
-        try:
-            with conn.write_lock:
-                if conn.closed or conn.half_open:
-                    return False
-                conn.sock.sendall(data)
-            return True
-        except OSError:
-            return False
+        with conn.write_lock:
+            if conn.closed or conn.half_open:
+                return False
+            try:
+                conn.send(data)
+            except OSError:
+                # Broken or stuck peer; a partial line may be out, so
+                # nothing else may follow it on this connection.
+                conn.close()
+                return False
+        return True
 
     def _handshake(self, conn: _Connection) -> bool:
         """Exchange hellos; on mismatch answer with a typed error."""
@@ -682,10 +757,14 @@ class SocketServer:
             return "none"
         return self._chaos.decision(request_id or "?", 0)
 
-    def _respond(self, conn: _Connection, slot, request_id: str) -> None:
-        """Write one resolved response, applying seeded socket chaos."""
-        response = slot.result()
-        document = response.to_json()
+    def _respond(
+        self, conn: _Connection, request_id: str, response: Response
+    ) -> None:
+        """Write one resolved response, applying seeded socket chaos.
+
+        A done callback: it runs on the thread that resolved the slot.
+        """
+        start_ns = time.perf_counter_ns()
         action = self._chaos_decision(request_id)
         if action == "kill":
             # The worst moment: the result exists, the client never
@@ -702,13 +781,25 @@ class SocketServer:
             conn.half_open = True
             return
         if action == "slow":
+            # The one reply written off the resolving thread: the
+            # trickle sleeps between chunks and must not stall a worker.
             self._count(
                 "service_conn_chaos_total", {"fault": "trickle"}
             )
-            self._trickle(conn, document)
+            threading.Thread(
+                target=self._trickle,
+                args=(conn, response.to_json()),
+                daemon=True,
+            ).start()
             return
-        if not self._write_line(conn, document):
+        if not self._write_line(conn, response.to_json()):
             self._count("service_conn_write_failures_total")
+        if self._registry is not None:
+            observe_stage(
+                self._registry,
+                "reply",
+                (time.perf_counter_ns() - start_ns) / 1e6,
+            )
 
     def _trickle(self, conn: _Connection, document: dict) -> None:
         """Write a response a few bytes at a time (slow-byte fault)."""
@@ -723,9 +814,10 @@ class SocketServer:
                 for k in range(0, len(data), chunk):
                     if conn.closed or conn.half_open:
                         return
-                    conn.sock.sendall(data[k:k + chunk])
+                    conn.send(data[k:k + chunk])
                     time.sleep(delay)
         except OSError:
+            conn.close()
             self._count("service_conn_write_failures_total")
 
     def _serve_connection(self, conn: _Connection) -> None:
@@ -758,18 +850,19 @@ class SocketServer:
                         pong["summary"]["t"] = document["t"]
                     self._write_line(conn, pong)
                     continue
-                slot = self._submit_json(line)
+                if isinstance(document, dict):
+                    slot = self._service.submit(document)
+                else:
+                    slot = self._service.submit_json(line)
                 request_id = (
                     str(document.get("id"))
                     if isinstance(document, dict)
                     and document.get("id") is not None
                     else ""
                 )
-                threading.Thread(
-                    target=self._respond,
-                    args=(conn, slot, request_id),
-                    daemon=True,
-                ).start()
+                slot.add_done_callback(
+                    functools.partial(self._respond, conn, request_id)
+                )
         except (OSError, ValueError):
             pass
         finally:

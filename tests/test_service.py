@@ -475,3 +475,47 @@ class TestServiceApi:
         assert reply.status == "rejected"
         assert "draining" in reply.error.detail
         svc.shutdown()
+
+    def test_submit_after_shutdown_does_not_restart_workers(self):
+        """A request that reaches a drained service (a TCP node
+        between its drain and closing its connections) is rejected;
+        it must not start a fresh set of workers nobody stops."""
+        svc = self._service()
+        svc.start()
+        svc.shutdown()
+        reply = svc.submit(
+            {"proto": 1, "benchmark": "DENOISE", "grid": [12, 16]}
+        ).result(5.0)
+        assert reply.status == "rejected"
+        assert reply.error.kind == "draining"
+        assert svc.executor._threads == []
+
+    def test_reply_callback_sees_the_request_counted(self):
+        """The executor records a request's metrics before it
+        publishes the reply, so a done callback (the TCP reply write)
+        never runs ahead of the node's counters."""
+        svc = self._service(workers=1)
+        seen = []
+        try:
+            slot = svc.submit(
+                {"proto": 1, "benchmark": "DENOISE", "grid": [24, 32]}
+            )
+            slot.add_done_callback(
+                lambda response: seen.append(
+                    (
+                        response.status,
+                        svc.metrics.counter(
+                            "service_requests_total", {"status": "ok"}
+                        ).value,
+                        svc.metrics.histogram(
+                            "service_stage_ms", {"stage": "node_total"}
+                        ).count,
+                        threading.current_thread()
+                        is not threading.main_thread(),
+                    )
+                )
+            )
+            assert slot.result(10.0).status == "ok"
+        finally:
+            svc.shutdown()
+        assert seen == [("ok", 1, 1, True)]

@@ -8,14 +8,20 @@ framing itself is the unit under test there.
 """
 
 import json
+import os
+import queue
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.proto import PROTO_VERSION
+from repro.service.scheduler import ResultSlot
 from repro.service.transport import (
     HANDSHAKE_VERSION,
     BackoffPolicy,
@@ -287,16 +293,6 @@ class TestHeartbeat:
             Heartbeat(timeout_s=-1.0)
 
 
-class _Slot:
-    """A pre-resolved ResultSlot stand-in."""
-
-    def __init__(self, response):
-        self._response = response
-
-    def result(self, timeout=None):
-        return self._response
-
-
 class _EchoResponse:
     def __init__(self, document):
         self._document = document
@@ -305,19 +301,32 @@ class _EchoResponse:
         return self._document
 
 
-def _echo_submit(line):
+def _echo_response(request_id, pad=0):
+    document = {
+        "proto": PROTO_VERSION,
+        "id": request_id,
+        "status": "ok",
+        "summary": {"echo": True},
+    }
+    if pad:
+        document["pad"] = "x" * pad
+    return _EchoResponse(document)
+
+
+class _EchoService:
     """A fake service: echoes the request id back with status ok."""
-    document = json.loads(line)
-    return _Slot(
-        _EchoResponse(
-            {
-                "proto": PROTO_VERSION,
-                "id": document.get("id"),
-                "status": "ok",
-                "summary": {"echo": True},
-            }
-        )
-    )
+
+    def submit(self, document):
+        slot = ResultSlot()
+        slot.resolve(_echo_response(document.get("id")))
+        return slot
+
+    def submit_json(self, line):
+        return self.submit(json.loads(line))
+
+
+#: The echo double every server test passes as its service.
+_echo_submit = _EchoService()
 
 
 class TestSocketServer:
@@ -444,6 +453,276 @@ class TestSocketServer:
                 assert conn.readline() == ""  # EOF, not a reply
             finally:
                 conn.close()
+
+
+class _WorkerEcho:
+    """A fake service whose slots resolve on one worker thread, the
+    way the real executor resolves them; ``pad`` bytes of filler make
+    each reply that much larger."""
+
+    def __init__(self, pad=0):
+        self._pad = pad
+        self._pending = queue.Queue()
+        self.submitted = []
+        self.lines = []
+        self._worker = threading.Thread(target=self._run, daemon=True)
+        self._worker.start()
+
+    def _run(self):
+        while True:
+            item = self._pending.get()
+            if item is None:
+                return
+            slot, request_id = item
+            slot.resolve(_echo_response(request_id, self._pad))
+
+    def submit(self, document):
+        self.submitted.append(document)
+        slot = ResultSlot()
+        self._pending.put((slot, document.get("id")))
+        return slot
+
+    def submit_json(self, line):
+        self.lines.append(line)
+        return _echo_submit.submit_json(line)
+
+    def close(self):
+        self._pending.put(None)
+        self._worker.join(timeout=5.0)
+
+
+class TestReplyPath:
+    """Replies are written by the thread that resolves the slot."""
+
+    def test_no_thread_per_request(self, monkeypatch):
+        service = _WorkerEcho()
+        try:
+            with SocketServer(service) as server:
+                conn = connect_once(
+                    server.address, Hello(node_id="cli", role="client")
+                )
+                constructed = []
+                real_thread = threading.Thread
+
+                class CountingThread(real_thread):
+                    def __init__(self, *args, **kwargs):
+                        constructed.append(kwargs.get("name"))
+                        super().__init__(*args, **kwargs)
+
+                monkeypatch.setattr(
+                    "repro.service.transport.threading.Thread",
+                    CountingThread,
+                )
+                try:
+                    for k in range(200):
+                        conn.send({"proto": PROTO_VERSION, "id": f"r{k}"})
+                    ids = {
+                        json.loads(conn.readline())["id"]
+                        for _ in range(200)
+                    }
+                finally:
+                    monkeypatch.undo()
+                    conn.close()
+        finally:
+            service.close()
+        assert ids == {f"r{k}" for k in range(200)}
+        assert constructed == []
+
+    def test_each_line_is_parsed_once(self):
+        service = _WorkerEcho()
+        try:
+            with SocketServer(service) as server:
+                conn = connect_once(
+                    server.address, Hello(node_id="cli", role="client")
+                )
+                try:
+                    conn.send({"proto": PROTO_VERSION, "id": "r1"})
+                    assert json.loads(conn.readline())["id"] == "r1"
+                finally:
+                    conn.close()
+        finally:
+            service.close()
+        assert service.submitted == [{"proto": PROTO_VERSION, "id": "r1"}]
+        assert service.lines == []
+
+    def test_reply_stage_is_timed(self):
+        registry = MetricsRegistry()
+        with SocketServer(_echo_submit, registry=registry) as server:
+            conn = connect_once(
+                server.address, Hello(node_id="cli", role="client")
+            )
+            try:
+                conn.send({"proto": PROTO_VERSION, "id": "r1"})
+                assert json.loads(conn.readline())["id"] == "r1"
+            finally:
+                conn.close()
+        # stop() joined the reader that wrote (and timed) the reply.
+        stage = registry.histogram("service_stage_ms", {"stage": "reply"})
+        assert stage.count == 1
+
+    def test_peer_that_stops_reading_cannot_stall_the_node(
+        self, monkeypatch
+    ):
+        """A client that never reads fills its socket buffers.  The
+        worker writing to it gives up after ``SEND_TIMEOUT_S`` and
+        closes that connection, so another connection served by the
+        same worker is still answered."""
+        monkeypatch.setattr(
+            "repro.service.transport.SEND_TIMEOUT_S", 0.3
+        )
+        registry = MetricsRegistry()
+        # 64 replies of 256 KiB: far past any loopback buffer sizes.
+        service = _WorkerEcho(pad=1 << 18)
+        try:
+            with SocketServer(service, registry=registry) as server:
+                stuck = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                stuck.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF, 4096
+                )
+                stuck.connect(server.address)
+                reader = stuck.makefile("r", encoding="utf-8")
+                other = None
+                try:
+                    hello = Hello(node_id="stuck", role="client")
+                    stuck.sendall(
+                        (json.dumps(hello.to_json()) + "\n").encode()
+                    )
+                    assert "handshake" in json.loads(reader.readline())
+                    stuck.sendall(
+                        "".join(
+                            json.dumps(
+                                {"proto": PROTO_VERSION, "id": f"s{k}"}
+                            )
+                            + "\n"
+                            for k in range(64)
+                        ).encode()
+                    )
+                    other = connect_once(
+                        server.address,
+                        Hello(node_id="other", role="client"),
+                    )
+                    other.send({"proto": PROTO_VERSION, "id": "live"})
+                    got = {}
+                    waiter = threading.Thread(
+                        target=lambda: got.update(
+                            line=other.readline()
+                        ),
+                        daemon=True,
+                    )
+                    waiter.start()
+                    waiter.join(timeout=10.0)
+                    assert not waiter.is_alive(), "node stalled"
+                finally:
+                    if other is not None:
+                        other.close()
+                    reader.close()
+                    stuck.close()
+        finally:
+            service.close()
+        assert json.loads(got["line"])["id"] == "live"
+        assert (
+            registry.counter("service_conn_write_failures_total").value
+            >= 1
+        )
+
+    def test_non_object_lines_get_the_services_own_reply(self):
+        """Lines that are not JSON objects skip the server's parse and
+        reach ``submit_json``: the wire reply is byte-identical to the
+        service's direct answer."""
+        from repro.service import ServiceConfig, StencilService
+
+        bad_lines = ["not json at all", "[1, 2]"]
+        with StencilService(ServiceConfig(workers=1)) as service:
+            expected = [
+                json.dumps(
+                    service.submit_json(line).result(5.0).to_json(),
+                    sort_keys=True,
+                )
+                for line in bad_lines
+            ]
+            with SocketServer(service) as server:
+                sock = socket.create_connection(server.address)
+                reader = sock.makefile("r", encoding="utf-8")
+                try:
+                    hello = Hello(node_id="cli", role="client")
+                    sock.sendall(
+                        (json.dumps(hello.to_json()) + "\n").encode()
+                    )
+                    assert "handshake" in json.loads(reader.readline())
+                    sock.sendall(
+                        "".join(f"{line}\n" for line in bad_lines).encode()
+                    )
+                    got = [reader.readline().rstrip("\n") for _ in bad_lines]
+                finally:
+                    reader.close()
+                    sock.close()
+        assert got == expected
+        assert "bad request JSON" in got[0]
+
+
+@pytest.mark.slow
+class TestServeListenDrain:
+    def test_stdin_eof_delivers_every_accepted_reply(self, tmp_path):
+        """Closing a ``serve --listen`` node's stdin drains it: every
+        request it accepted gets its reply before the socket closes."""
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro", "serve",
+                "--listen", "127.0.0.1:0", "--workers", "2",
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=str(tmp_path),
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        try:
+            address = json.loads(proc.stdout.readline())["listening"]
+            conn = connect_once(
+                parse_address(address), Hello(node_id="cli", role="client")
+            )
+            ids = [f"d{k}" for k in range(32)]
+            try:
+                for k, request_id in enumerate(ids):
+                    conn.send(
+                        {
+                            "proto": 1,
+                            "id": request_id,
+                            "benchmark": ("SOBEL", "DENOISE")[k % 2],
+                            "grid": [10, 12],
+                            "seed": k,
+                        }
+                    )
+                # The pong comes back after the reader has admitted
+                # every request before it; then start the drain.
+                conn.send({"control": "ping", "id": "hb"})
+                lines = []
+                while True:
+                    line = conn.readline()
+                    assert line, "connection closed before the pong"
+                    if json.loads(line)["id"] == "hb":
+                        break
+                    lines.append(line)
+                proc.stdin.close()
+                while True:
+                    line = conn.readline()
+                    if not line:
+                        break
+                    lines.append(line)
+            finally:
+                conn.close()
+            assert proc.wait(timeout=120) == 0
+            stderr = proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        replies = [json.loads(line) for line in lines]
+        assert sorted(r["id"] for r in replies) == sorted(ids)
+        assert {r["status"] for r in replies} == {"ok"}
+        assert "drained: True" in stderr
 
 
 class TestSocketConnection:
