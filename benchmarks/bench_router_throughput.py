@@ -2,8 +2,8 @@
 
 Not a paper artifact; it tracks the serving layer's engineering: what
 the router's extra hop (fingerprint-at-router, rendezvous placement,
-pipe round trip to a node subprocess) costs on a warm mixed load, and
-what end-to-end distributed tracing adds on top of it.  The campaign
+localhost TCP round trip to a node subprocess) costs on a warm mixed
+load, and what end-to-end distributed tracing adds on top of it.  The campaign
 runs twice — tracing off, then tracing on (router tracer installed and
 per-node ``--trace-out`` exports active) — over the same disk cache,
 and asserts the traced fabric keeps at least 95 % of the untraced
@@ -31,16 +31,11 @@ GRIDS = {
 
 N_REQUESTS = 96
 MAX_TRACING_OVERHEAD = 0.05
-#: The TCP transport swaps the node pipes for localhost sockets
-#: (JSONL codec, handshake, heartbeats).  On a warm mixed load the
-#: extra cost is one socket round trip plus the framing — it must
-#: keep at least 80 % of the pipe fabric's throughput.
-MAX_TCP_SLOWDOWN = 0.20
 
 #: Backend comparison through the full fabric: one hot fingerprint on
 #: a grid big enough that node-side execution, not the router hop,
 #: carries the interpreted cost.  The compiled kernel collapses that
-#: execution, but the router adds a pipe round trip per request that
+#: execution, but the router adds a TCP round trip per request that
 #: both backends pay equally — so the end-to-end ratio here is a floor,
 #: not the ~10x the bare-service bench asserts.
 BACKEND_SPEC = ("RICIAN", (224, 256))
@@ -72,7 +67,7 @@ def _run_campaign(router, requests):
     return responses, wall_s
 
 
-def _run_mode(tmp_path, tag, trace_dir=None, transport="pipe"):
+def _run_mode(tmp_path, tag, trace_dir=None):
     """One full fabric campaign; returns (rps, snapshot, fabric)."""
     registry = MetricsRegistry()
     config = RouterConfig(
@@ -80,7 +75,6 @@ def _run_mode(tmp_path, tag, trace_dir=None, transport="pipe"):
         node=NodeConfig(
             workers=2,
             cache_dir=str(tmp_path / "cache"),
-            transport=transport,
         ),
         trace_dir=trace_dir,
     )
@@ -238,20 +232,12 @@ def bench_router_throughput(tmp_path):
         )
         if on2 > on_rps:
             on_rps, warm_s, fabric = on2, warm2, fabric2
-    tcp_rps, _, _, _ = _run_mode(tmp_path, "tcp", transport="tcp")
 
     # The tracing tax on the full fabric: id generation, span records
     # in router and nodes, worker span relay.  It must stay under 5 %.
     assert on_rps >= (1.0 - MAX_TRACING_OVERHEAD) * off_rps, (
         f"tracing overhead too high: {on_rps:.1f} rps traced vs "
         f"{off_rps:.1f} rps untraced"
-    )
-    # Socket transport tax: the same warm campaign over localhost TCP
-    # (connect/handshake amortized, heartbeats riding along) must stay
-    # within 20 % of the pipe fabric.
-    assert tcp_rps >= (1.0 - MAX_TCP_SLOWDOWN) * off_rps, (
-        f"tcp transport too slow: {tcp_rps:.1f} rps over sockets vs "
-        f"{off_rps:.1f} rps over pipes"
     )
 
     # Routed C-converter pass (gated on a toolchain): the generated-C
@@ -282,14 +268,6 @@ def bench_router_throughput(tmp_path):
         "tracing_overhead_pct": round(
             100.0 * (1.0 - on_rps / off_rps), 2
         ),
-        # Same warm campaign, node pipes swapped for localhost TCP.
-        "transports": {
-            "pipe_rps": round(off_rps, 1),
-            "tcp_rps": round(tcp_rps, 1),
-            "tcp_overhead_pct": round(
-                100.0 * (1.0 - tcp_rps / off_rps), 2
-            ),
-        },
         "dispatch_per_node": per_node,
         "failovers": counters.get("router_failovers_total", 0),
         "stage_percentiles_ms": _stage_percentiles(fabric),

@@ -558,8 +558,8 @@ def _stream_jsonl(submit_line, lines) -> None:
     A writer thread blocks on the oldest unanswered slot, so a
     long-running head request delays (but never drops) the responses
     behind it, and every response is flushed the moment it is ready —
-    required by the router, whose nodes answer over these pipes while
-    more requests keep arriving.
+    a client that keeps writing requests while it reads replies sees
+    each one as soon as it resolves.
     """
     slots: "queue.Queue" = queue.Queue()
     done = object()
@@ -591,8 +591,8 @@ def cmd_serve(args) -> int:
     graceful drain on EOF.  With ``--listen`` the data plane moves to
     a TCP socket (handshaken proto:1 JSONL); stdout carries a single
     ``{"listening": "host:port"}`` announcement and stdin keeps its
-    lifecycle role — EOF still means drain-and-exit, so supervisors
-    (the router) manage socket nodes exactly like pipe nodes."""
+    lifecycle role — EOF still means drain-and-exit.  The router
+    spawns every node this way."""
     from .service import StencilService
 
     with _obs_session(args):
@@ -676,8 +676,9 @@ def _serve_listen(args, service) -> int:
 
 def cmd_route(args) -> int:
     """Multi-node JSONL front end: rendezvous-hash each request's
-    plan fingerprint onto one of N ``repro serve`` subprocesses, with
-    failover to the next node in rendezvous order when a node dies."""
+    plan fingerprint onto one of N ``repro serve --listen`` nodes,
+    reached over localhost TCP, with failover to the next node in
+    rendezvous order when a node's connection is lost."""
     from .service.router import NodeConfig, Router, RouterConfig
 
     extra = []
@@ -716,9 +717,6 @@ def cmd_route(args) -> int:
             kwargs["gather_limit"] = int(gather_limit)
         lowering = LoweringConfig(**kwargs)
     remotes = tuple(getattr(args, "connect", None) or ())
-    transport = getattr(args, "transport", "pipe")
-    if remotes:
-        transport = "tcp"
     node = NodeConfig(
         workers=args.workers,
         queue=args.queue,
@@ -729,7 +727,6 @@ def cmd_route(args) -> int:
         validate_every=args.validate_every,
         cache_dir=args.cache_dir,
         hang_timeout_s=args.hang_timeout,
-        transport=transport,
         extra_args=tuple(extra),
     )
     config = RouterConfig(
@@ -761,8 +758,8 @@ def cmd_route(args) -> int:
         )
         _stream_jsonl(router.submit_json, sys.stdin)
         if args.fabric_snapshot:
-            # Collected over the live node pipes, so it must happen
-            # before close() tears the fabric down.
+            # Collected over the live node connections, so it must
+            # happen before close() tears the fabric down.
             with open(args.fabric_snapshot, "w", encoding="utf-8") as fh:
                 json.dump(router.fabric_snapshot(), fh, sort_keys=True)
             print(
@@ -1130,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "route",
         help=(
             "run the multi-node fingerprint router over JSONL "
-            "stdin/stdout (N repro-serve subprocesses)"
+            "stdin/stdout (N repro-serve nodes reached over TCP)"
         ),
     )
     router_group = p_route.add_argument_group("router")
@@ -1145,8 +1142,8 @@ def build_parser() -> argparse.ArgumentParser:
     router_group.add_argument(
         "--failover-grace", type=float, default=2.0, metavar="S",
         help=(
-            "kill a node that is silent this long past an in-flight "
-            "deadline (wedge detection, default 2)"
+            "break the link to a node that is silent this long past "
+            "an in-flight deadline (wedge detection, default 2)"
         ),
     )
     router_group.add_argument(
@@ -1165,30 +1162,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     router_group.add_argument(
-        "--transport", choices=["pipe", "tcp"], default="pipe",
-        help=(
-            "how the router reaches its nodes: proto:1 JSONL over "
-            "subprocess pipes (default), or over localhost TCP "
-            "sockets with handshake, reconnect backoff and "
-            "heartbeats (nodes are spawned with --listen)"
-        ),
-    )
-    router_group.add_argument(
         "--connect", action="append", default=None, metavar="ADDR",
         dest="connect",
         help=(
             "connect to an already-running `repro serve --listen` "
             "endpoint (host:port) instead of spawning nodes; repeat "
-            "for more nodes — implies --transport tcp and overrides "
-            "--nodes"
+            "for more nodes — overrides --nodes"
         ),
     )
     router_group.add_argument(
         "--conn-kill-rate", type=float, default=0.0, metavar="P",
         help=(
-            "connection chaos (tcp transport): sever the owning "
-            "node's socket right after dispatch on fraction P of "
-            "attempts (seeded by --chaos-seed)"
+            "connection chaos: sever the owning node's socket right "
+            "after dispatch on fraction P of attempts (seeded by "
+            "--chaos-seed)"
         ),
     )
     router_group.add_argument(
@@ -1201,9 +1188,9 @@ def build_parser() -> argparse.ArgumentParser:
     router_group.add_argument(
         "--fabric-snapshot", default=None, metavar="FILE",
         help=(
-            "collect every node's metrics over the live pipes on "
-            "shutdown and write the aggregated fabric snapshot as "
-            "JSON (input for `repro top`)"
+            "collect every node's metrics over the live node "
+            "connections on shutdown and write the aggregated fabric "
+            "snapshot as JSON (input for `repro top`)"
         ),
     )
     _add_service_flags(p_route)

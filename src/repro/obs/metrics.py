@@ -391,7 +391,8 @@ class MetricsRegistry:
         misbinning (two processes disagreeing on bounds is a bug worth
         surfacing, not averaging away); exemplar stores merge keeping
         the K largest.  This is how the router builds one fabric-wide
-        registry from per-node snapshots collected over the pipes.
+        registry from per-node snapshots collected over its node
+        connections.
         """
         if not isinstance(snapshot, dict):
             raise ValueError("metrics snapshot must be a JSON object")

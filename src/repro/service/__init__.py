@@ -36,14 +36,14 @@ a long-running service around that observation:
   ``repro submit``;
 * :mod:`repro.service.router` — the multi-node front end:
   rendezvous-hashes each request's plan fingerprint onto one of N
-  service-node subprocesses, collapses identical in-flight requests
-  globally and fails requests over to the next node in rendezvous
-  order when a node dies (``repro route``);
-* :mod:`repro.service.transport` — the TCP socket transport for the
-  proto:1 wire protocol: connect-time handshakes, reconnect with
-  seeded full-jitter backoff, heartbeat wedge detection and seeded
-  socket-level fault injection (``repro serve --listen``,
-  ``repro route --transport tcp`` / ``--connect``);
+  service nodes, collapses identical in-flight requests globally and
+  fails requests over to the next node in rendezvous order when a
+  node's connection is lost (``repro route``);
+* :mod:`repro.service.transport` — the TCP socket transport, the
+  router's one data plane to every node: connect-time handshakes,
+  reconnect with seeded full-jitter backoff, heartbeat wedge detection
+  and seeded socket-level fault injection (``repro serve --listen``,
+  ``repro route`` / ``--connect``);
 * :mod:`repro.service.lease` — cross-process single-flight lease
   files in a shared ``cache_dir``, so N routers sharing a cache
   perform exactly one cold compile per fingerprint (pid-liveness

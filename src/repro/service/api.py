@@ -450,7 +450,7 @@ class StencilService:
             )
 
     def _handle_control(self, request: Dict[str, Any]) -> ResultSlot:
-        """Answer an out-of-band control request on the same pipe.
+        """Answer an out-of-band control request on the same channel.
 
         Control documents are dicts with a ``control`` verb instead of
         a benchmark/spec; they ride the ordinary request channel so the

@@ -2,7 +2,8 @@
 
 Every JSONL line that crosses a service boundary — ``repro submit``,
 ``repro serve``, the multi-node router of :mod:`repro.service.router`
-and the parent/node pipes underneath it — is one of two documents:
+and the router/node connections underneath it — is one of two
+documents:
 
 * a :class:`Request` — ``proto: 2`` with one structured ``workload``
   object (:class:`repro.service.workload.Workload`: ``single`` /

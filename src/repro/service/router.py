@@ -2,9 +2,14 @@
 
 :class:`Router` is the front end of a small cluster: it owns the
 client-facing JSONL surface, spawns N *service nodes* (each one a
-``repro serve`` subprocess speaking the :mod:`repro.service.proto`
-JSONL protocol over its stdin/stdout pipes) and places every request
-on one node by **rendezvous hashing** its plan fingerprint:
+``repro serve --listen 127.0.0.1:0`` subprocess) and places every
+request on one node by **rendezvous hashing** its plan fingerprint.
+There is one data plane: the router reaches every node — spawned or
+``remotes`` — over a handshaken TCP connection
+(:mod:`repro.service.transport`: reconnect with backoff, heartbeats)
+carrying the :mod:`repro.service.proto` JSONL protocol.  A spawned
+node's stdin/stdout carry lifecycle only: one ``{"listening": ...}``
+announcement, and stdin EOF for the graceful drain.
 
 * the fingerprint is computed *at the router* from the parsed
   request, so placement needs no node round trip;
@@ -27,14 +32,16 @@ on one node by **rendezvous hashing** its plan fingerprint:
 Failure handling keeps the service invariant — *nothing is dropped
 without a response*:
 
-* a node that **dies** mid-request (crash, chaos kill) fails its
-  in-flight requests over to the next alive node in rendezvous order,
-  within each request's retry/deadline budget;
+* a node whose connection is **lost** mid-request (process crash,
+  chaos kill, severed socket) fails the requests written into that
+  connection over to the next ready node in rendezvous order, within
+  each request's retry/deadline budget;
 * a node that **wedges** (silent past every in-flight deadline plus a
-  grace period) is killed and treated the same way;
-* dead nodes are respawned by a supervisor thread, and with a shared
-  ``cache_dir`` the sibling promotes the already-compiled plan from
-  the disk tier instead of recompiling.
+  grace period, or past its heartbeat timeout) has its link broken and
+  is treated the same way;
+* a supervisor thread reconnects lost links with backoff and respawns
+  dead processes, and with a shared ``cache_dir`` the sibling promotes
+  the already-compiled plan from the disk tier instead of recompiling.
 
 Health, queue depth and ownership churn are exported per node through
 :mod:`repro.obs` (``router_node_up``, ``router_node_pending``,
@@ -136,19 +143,17 @@ class NodeConfig:
     validate_every: int = 0
     cache_dir: Optional[str] = None  # share across nodes for failover
     hang_timeout_s: float = 60.0
-    #: ``"pipe"`` (default): proto:1 JSONL over the subprocess's
-    #: stdin/stdout.  ``"tcp"``: the node listens on localhost
-    #: (``repro serve --listen``) and the router connects through
-    #: :mod:`repro.service.transport` — handshake, reconnect with
-    #: backoff, heartbeats.  Every pipe-path behavior is unchanged.
-    transport: str = "pipe"
+    #: Always ``"tcp"``: every node is reached over localhost TCP.
+    #: The keyword survives only because ``benchmarks/e2e`` passes
+    #: ``transport="tcp"``; drop it once that benchmark may change.
+    transport: str = "tcp"
     extra_args: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.transport not in ("pipe", "tcp"):
+        if self.transport != "tcp":
             raise ValueError(
-                f"transport must be 'pipe' or 'tcp', "
-                f"got {self.transport!r}"
+                f"transport must be 'tcp' (the pipe transport was "
+                f"removed), got {self.transport!r}"
             )
         if self.lowering is None:
             object.__setattr__(
@@ -192,10 +197,9 @@ class NodeConfig:
             ]
         if self.cache_dir:
             out += ["--cache-dir", self.cache_dir]
-        if self.transport == "tcp":
-            # Port 0: the node binds an ephemeral port and announces
-            # it as a ``{"listening": "host:port"}`` line on stdout.
-            out += ["--listen", "127.0.0.1:0"]
+        # Port 0: the node binds an ephemeral port and announces it as
+        # a ``{"listening": "host:port"}`` line on stdout.
+        out += ["--listen", "127.0.0.1:0"]
         out += list(self.extra_args)
         return out
 
@@ -220,9 +224,9 @@ class RouterConfig:
     trace_dir: Optional[str] = None
     chaos_seed: int = 2014
     node_kill_rate: float = 0.0  # kill the owning node after dispatch
-    #: Seeded *connection* chaos (TCP transport only): sever the
-    #: owning node's socket right after a successful dispatch write —
-    #: the in-flight request must fail over, never drop.
+    #: Seeded *connection* chaos: sever the owning node's socket right
+    #: after a successful dispatch write — the in-flight request must
+    #: fail over, never drop.
     conn_kill_rate: float = 0.0
     #: Already-running ``repro serve --listen`` endpoints
     #: (``host:port``) the router connects to instead of spawning
@@ -243,16 +247,6 @@ class RouterConfig:
             raise ValueError("node_kill_rate must be in [0, 1]")
         if not 0.0 <= self.conn_kill_rate <= 1.0:
             raise ValueError("conn_kill_rate must be in [0, 1]")
-        if self.conn_kill_rate and self.transport != "tcp":
-            raise ValueError(
-                "conn_kill_rate needs the tcp transport "
-                "(there is no connection to kill over pipes)"
-            )
-
-    @property
-    def transport(self) -> str:
-        """The resolved fabric transport (remotes force ``tcp``)."""
-        return "tcp" if self.remotes else self.node.transport
 
     def backoff(self) -> BackoffPolicy:
         return BackoffPolicy(
@@ -290,9 +284,15 @@ class _Pending:
 
 
 class _Node:
-    """One supervised ``repro serve`` subprocess behind pipes."""
+    """One supervised ``repro serve --listen`` subprocess.
 
-    transport = "pipe"
+    Lifecycle (drain-on-stdin-EOF, metrics export, respawn) stays on
+    the subprocess's stdin/stdout; *data* rides the TCP connection.
+    The node's ``generation`` advances on every successful **connect**
+    — a lost connection orphans exactly the requests written into it,
+    whether or not the process survived — and :meth:`send` refuses to
+    write into any generation but the caller's.
+    """
 
     def __init__(self, idx: int, config: RouterConfig) -> None:
         self.idx = idx
@@ -304,112 +304,6 @@ class _Node:
         #: Unix time of the last line received from this node (0 =
         #: never) — what ``repro top`` renders for unreachable rows.
         self.last_seen = 0.0
-
-    def ready(self) -> bool:
-        """Dispatchable right now (for TCP: *connected*)."""
-        return self.alive()
-
-    def break_link(self) -> None:
-        """Force the failover path for everything in flight here.
-
-        Over pipes the process *is* the link, so this kills it; the
-        TCP override severs just the connection and keeps the (still
-        healthy) process for the reconnect."""
-        self.kill()
-
-    def _argv(self) -> List[str]:
-        out = self.config.node.argv()
-        if self.config.node_metrics_dir:
-            out += [
-                "--metrics-out",
-                os.path.join(
-                    self.config.node_metrics_dir,
-                    f"node-{self.idx}.json",
-                ),
-            ]
-        if self.config.trace_dir:
-            out += [
-                "--trace-out",
-                os.path.join(
-                    self.config.trace_dir,
-                    f"node-{self.idx}-g{self.generation + 1}.jsonl",
-                ),
-            ]
-        return out
-
-    def spawn(self) -> None:
-        env = os.environ.copy()
-        # Make ``python -m repro`` resolvable even when the parent was
-        # launched from outside the source tree.
-        src = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        path = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
-        self.proc = subprocess.Popen(
-            self._argv(),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
-            env=env,
-        )
-        self.generation += 1
-        self.closing = False
-
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.poll() is None
-
-    def send(self, wire: dict, generation: int) -> None:
-        """Write one request line to process ``generation``.
-
-        Raises OSError on a dead pipe *or* when the node has been
-        respawned since the caller picked it — without the generation
-        check a request registered against the old process could be
-        written into the new one's stdin, double-serving it after the
-        caller's failover re-dispatch.
-        """
-        line = json.dumps(wire, sort_keys=True) + "\n"
-        with self.write_lock:
-            if self.generation != generation:
-                raise BrokenPipeError("node was respawned")
-            if self.proc is None or self.proc.stdin is None:
-                raise BrokenPipeError("node has no stdin")
-            self.proc.stdin.write(line)
-            self.proc.stdin.flush()
-
-    def kill(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.kill()
-
-    def close_stdin(self) -> None:
-        """EOF = graceful drain; the node answers stragglers, exports
-        its metrics file and exits on its own."""
-        self.closing = True
-        with self.write_lock:
-            if self.proc is not None and self.proc.stdin is not None:
-                try:
-                    self.proc.stdin.close()
-                except OSError:
-                    pass
-
-
-class _TcpNode(_Node):
-    """A local ``repro serve --listen`` node reached over a socket.
-
-    Lifecycle (drain-on-stdin-EOF, metrics export, respawn) stays on
-    the subprocess pipes; *data* rides the TCP connection.  The node's
-    ``generation`` advances on every successful **connect** — a lost
-    connection orphans exactly the requests written into it, whether
-    or not the process survived — and :meth:`send` keeps the same
-    generation-checked contract the pipe path has.
-    """
-
-    transport = "tcp"
-
-    def __init__(self, idx: int, config: RouterConfig) -> None:
-        super().__init__(idx, config)
         self.conn: Optional[SocketConnection] = None
         self.address: Optional[Tuple[str, int]] = None
         self.heartbeat = Heartbeat(
@@ -422,9 +316,8 @@ class _TcpNode(_Node):
         self.connect_attempt = 0
 
     def _argv(self) -> List[str]:
-        # The base names trace files by generation (== spawn count for
-        # pipes); here generations advance per *connect*, so count
-        # spawns separately to keep one trace file per process.
+        # Generations advance per *connect*, so trace files are named
+        # by spawn count: one file per process.
         out = self.config.node.argv()
         if self.config.node_metrics_dir:
             out += [
@@ -446,11 +339,27 @@ class _TcpNode(_Node):
 
     def spawn(self) -> None:
         """Start the process and read its ``listening`` announcement."""
-        super().spawn()
-        self.generation -= 1  # undo: TCP generations advance on connect
+        env = os.environ.copy()
+        # Make ``python -m repro`` resolvable even when the parent was
+        # launched from outside the source tree.
+        src = os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
+        path = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+        self.proc = subprocess.Popen(
+            self._argv(),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            bufsize=1,
+            env=env,
+        )
         self.spawn_count += 1
+        self.closing = False
         self.address = None
-        assert self.proc is not None and self.proc.stdout is not None
+        assert self.proc.stdout is not None
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             line = self.proc.stdout.readline()
@@ -485,12 +394,21 @@ class _TcpNode(_Node):
         self.next_attempt_at = 0.0
 
     def ready(self) -> bool:
+        """Dispatchable right now: *connected*."""
         return self.conn is not None and not self.conn.closed
 
     def needs_respawn(self) -> bool:
         return self.proc is None or self.proc.poll() is not None
 
     def send(self, wire: dict, generation: int) -> None:
+        """Write one line into connection ``generation``.
+
+        Raises OSError on a lost connection *or* when the node has
+        reconnected since the caller picked it — without the
+        generation check a request registered against the old link
+        could be written into the new one, double-serving it after
+        the caller's failover re-dispatch.
+        """
         with self.write_lock:
             if self.generation != generation:
                 raise BrokenPipeError("node connection was replaced")
@@ -500,18 +418,30 @@ class _TcpNode(_Node):
         conn.send(wire)
 
     def break_link(self) -> None:
+        """Force the failover path for everything in flight here: sever
+        the connection and keep the (possibly healthy) process for the
+        reconnect."""
         if self.conn is not None:
             self.conn.close()
 
     def kill(self) -> None:
-        super().kill()
+        if self.proc is not None and self.proc.poll() is None:
+            self.proc.kill()
         self.break_link()
 
     def close_stdin(self) -> None:
-        super().close_stdin()  # child drains, exports metrics, exits
+        """EOF = graceful drain; the node answers stragglers, exports
+        its metrics file and exits on its own."""
+        self.closing = True
+        with self.write_lock:
+            if self.proc is not None and self.proc.stdin is not None:
+                try:
+                    self.proc.stdin.close()
+                except OSError:
+                    pass
 
 
-class _RemoteNode(_TcpNode):
+class _RemoteNode(_Node):
     """An externally managed ``repro serve --listen`` endpoint.
 
     The router supervises only the connection: it reconnects with
@@ -526,9 +456,6 @@ class _RemoteNode(_TcpNode):
 
     def spawn(self) -> None:
         self.spawn_count += 1  # no process: the endpoint just exists
-
-    def alive(self) -> bool:
-        return self.ready()
 
     def needs_respawn(self) -> bool:
         return False
@@ -562,15 +489,9 @@ class Router:
                 _RemoteNode(i, self.config, parse_address(addr))
                 for i, addr in enumerate(self.config.remotes)
             ]
-        elif self.config.transport == "tcp":
-            self._nodes = [
-                _TcpNode(i, self.config)
-                for i in range(self.config.nodes)
-            ]
         else:
             self._nodes = [
-                _Node(i, self.config)
-                for i in range(self.config.nodes)
+                _Node(i, self.config) for i in range(self.config.nodes)
             ]
         self._hello = Hello(
             node_id=f"router-{os.getpid()}",
@@ -587,9 +508,11 @@ class Router:
         #: Fingerprints some node has answered ``ok`` (LRU order).
         self._warm: "OrderedDict[str, None]" = OrderedDict()
         #: Outstanding control requests (metrics collection) by wire
-        #: id — kept apart from ``_pending`` so control replies never
-        #: enter the request resolution/failover machinery.
-        self._controls: Dict[str, ResultSlot] = {}
+        #: id, with the node index and connection generation they were
+        #: written into — kept apart from ``_pending`` so control
+        #: replies never enter the request resolution/failover
+        #: machinery, and resolved at once when that link is lost.
+        self._controls: Dict[str, Tuple[int, int, ResultSlot]] = {}
         #: fingerprint -> (node index, in-flight count): the global
         #: single-flight owner table.
         self._owners: Dict[str, List[int]] = {}
@@ -654,7 +577,10 @@ class Router:
                 self.config.node.cache_dir, registry=self.metrics
             )
         for node in self._nodes:
-            self._spawn_node(node)
+            node.spawn()
+            # A failed first connect is not fatal: the monitor keeps
+            # retrying with backoff until the endpoint answers.
+            self._connect(node)
         self._monitor = threading.Thread(
             target=self._monitor_loop,
             name="router-monitor",
@@ -663,26 +589,7 @@ class Router:
         self._monitor.start()
         return self
 
-    def _spawn_node(self, node: _Node) -> None:
-        node.spawn()
-        if isinstance(node, _TcpNode):
-            # A failed first connect is not fatal: the monitor keeps
-            # retrying with backoff until the endpoint answers.
-            self._connect_tcp(node)
-            return
-        reader = threading.Thread(
-            target=self._read_loop,
-            args=(node, node.generation),
-            name=f"router-node-{node.idx}-reader",
-            daemon=True,
-        )
-        reader.start()
-        self._readers.append(reader)
-        self.metrics.gauge(
-            "router_node_up", self._node_labels(node.idx)
-        ).set(1)
-
-    def _connect_tcp(self, node: "_TcpNode") -> bool:
+    def _connect(self, node: _Node) -> bool:
         """One connect+handshake attempt; schedules the next on loss."""
         try:
             node.connect(self._hello, self._backoff)
@@ -709,7 +616,7 @@ class Router:
             )
         conn, generation = node.conn, node.generation
         reader = threading.Thread(
-            target=self._tcp_read_loop,
+            target=self._conn_read_loop,
             args=(node, conn, generation),
             name=f"router-node-{node.idx}-reader-g{generation}",
             daemon=True,
@@ -1130,27 +1037,9 @@ class Router:
         )
 
     # -- node I/O ------------------------------------------------------
-    def _read_loop(self, node: _Node, generation: int) -> None:
-        proc = node.proc
-        assert proc is not None and proc.stdout is not None
-        for line in proc.stdout:
-            line = line.strip()
-            if not line:
-                continue
-            node.last_seen = time.time()
-            try:
-                data = json.loads(line)
-                response = Response.from_json(data)
-            except (ProtoError, ValueError):
-                self._count("router_bad_node_lines_total")
-                continue
-            self._on_response(node, response)
-        proc.wait()
-        self._on_node_exit(node, generation)
-
-    def _tcp_read_loop(
+    def _conn_read_loop(
         self,
-        node: "_TcpNode",
+        node: _Node,
         conn: SocketConnection,
         generation: int,
     ) -> None:
@@ -1159,8 +1048,7 @@ class Router:
         Exits on *connection* loss — process death, chaos kill, wedge
         teardown all surface here as EOF — and fails over exactly the
         requests written into this generation.  Pongs are consumed at
-        this layer (RTT histogram); everything else takes the same
-        response path as the pipe transport.
+        this layer (RTT histogram); everything else is a response.
         """
         while True:
             line = conn.readline()
@@ -1201,7 +1089,7 @@ class Router:
             control = self._controls.pop(response.id or "", None)
         if control is not None:
             response.node = node.idx
-            control.resolve(response)
+            control[2].resolve(response)
             return
         entry = self._take(response.id or "")
         if entry is None:
@@ -1213,16 +1101,35 @@ class Router:
         self._resolve_entry(entry, response)
 
     def _on_node_exit(self, node: _Node, generation: int) -> None:
-        """Fail over everything in flight on a dead node."""
+        """Fail over everything in flight on a lost connection; its
+        outstanding control requests resolve at once as errors."""
         with self._lock:
             orphans = [
                 e
                 for e in self._pending.values()
                 if e.node == node.idx and e.generation == generation
             ]
+            lost_controls = [
+                (control_id, self._controls.pop(control_id)[2])
+                for control_id, (idx, gen, _) in list(
+                    self._controls.items()
+                )
+                if idx == node.idx and gen == generation
+            ]
         self.metrics.gauge(
             "router_node_up", self._node_labels(node.idx)
         ).set(0)
+        for control_id, slot in lost_controls:
+            slot.resolve(
+                error_response(
+                    control_id,
+                    "error",
+                    f"service node {node.idx} was lost before it "
+                    "answered the control request",
+                    kind="worker_lost",
+                    node=node.idx,
+                )
+            )
         for entry in orphans:
             taken = self._take(entry.internal_id)
             if taken is None:
@@ -1263,13 +1170,15 @@ class Router:
     def collect_node_metrics(
         self, timeout_s: float = 5.0
     ) -> Dict[int, Optional[dict]]:
-        """One metrics snapshot per node, over the existing pipes.
+        """One metrics snapshot per node, over the live connections.
 
-        Sends the ``{"control": "metrics"}`` document down each alive
-        node's stdin and matches the replies out-of-band (they never
-        touch the request failover machinery).  A dead, draining or
-        unresponsive node maps to ``None`` — aggregation degrades, it
-        never blocks the fabric.
+        Sends the ``{"control": "metrics"}`` document down each
+        connected node's socket and matches the replies out-of-band
+        (they never touch the request failover machinery).  A dead,
+        draining or unresponsive node maps to ``None`` — aggregation
+        degrades, it never blocks the fabric; a connection lost before
+        its reply resolves that node's entry at once, without waiting
+        out ``timeout_s``.
         """
         slots: Dict[int, Tuple[str, ResultSlot]] = {}
         out: Dict[int, Optional[dict]] = {}
@@ -1281,14 +1190,15 @@ class Router:
                 self._seq += 1
                 control_id = f"ctl-{self._seq}"
                 slot = ResultSlot()
-                self._controls[control_id] = slot
+                generation = node.generation
+                self._controls[control_id] = (node.idx, generation, slot)
             wire = {
                 "proto": PROTO_VERSION,
                 "id": control_id,
                 "control": "metrics",
             }
             try:
-                node.send(wire, node.generation)
+                node.send(wire, generation)
             except OSError:
                 with self._lock:
                     self._controls.pop(control_id, None)
@@ -1322,7 +1232,6 @@ class Router:
         return {
             node.idx: {
                 "reachable": node.ready(),
-                "transport": node.transport,
                 "last_seen": node.last_seen or None,
                 "generation": node.generation,
             }
@@ -1361,23 +1270,7 @@ class Router:
         while not self._stop.wait(self.config.monitor_interval_s):
             now = time.monotonic()
             for node in self._nodes:
-                if isinstance(node, _TcpNode):
-                    self._supervise_tcp(node, now)
-                    continue
-                if not node.alive():
-                    if not node.closing and not self._closed:
-                        self._count(
-                            "router_node_restarts_total",
-                            self._node_labels(node.idx),
-                        )
-                        self._spawn_node(node)
-                    continue
-                if self._request_wedged(node, now):
-                    self._count(
-                        "router_node_wedges_total",
-                        self._node_labels(node.idx),
-                    )
-                    node.kill()
+                self._supervise(node, now)
             self._sync_gauges()
 
     def _request_wedged(self, node: _Node, now: float) -> bool:
@@ -1392,8 +1285,8 @@ class Router:
                 for e in self._pending.values()
             )
 
-    def _supervise_tcp(self, node: "_TcpNode", now: float) -> None:
-        """One supervision tick of a TCP node.
+    def _supervise(self, node: _Node, now: float) -> None:
+        """One supervision tick of a node.
 
         Ordering matters: process death forces respawn+reconnect; a
         live process with a lost connection reconnects, paced by the
@@ -1421,11 +1314,11 @@ class Router:
                 node.connect_attempt += 1
                 node.next_attempt_at = time.monotonic() + pause
                 return
-            self._connect_tcp(node)
+            self._connect(node)
             return
         if not node.ready():
             if now >= node.next_attempt_at:
-                self._connect_tcp(node)
+                self._connect(node)
             return
         if node.heartbeat.wedged():
             self._count(
@@ -1498,8 +1391,7 @@ class Router:
                 node.proc.wait()
                 clean = False
         for node in self._nodes:
-            if isinstance(node, _TcpNode):
-                node.break_link()  # unblock readers still in readline
+            node.break_link()  # unblock readers still in readline
         for reader in self._readers:
             reader.join(timeout=5.0)
         self._started = False

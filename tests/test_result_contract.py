@@ -10,6 +10,11 @@ the trace id are dropped — not just the same checksum: ``mean``,
 ``n_outputs``, per-stage digests, cache outcomes and the plan summary
 all have to agree.  Each cell carries one ``validate: true`` request,
 so the canary path is part of the contract too.
+
+The transport axis sends the same requests through a one-node
+:class:`Router`, whose node is reached over TCP, and holds the routed
+bodies to the direct ones; only the delivery fields the router owns
+(``node``, ``attempts``) and the cache outcome may differ.
 """
 
 import json
@@ -19,9 +24,12 @@ import pytest
 from repro.lower.convert_c import c_toolchain
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceConfig, StencilService
+from repro.service.router import NodeConfig, Router, RouterConfig
 
 #: Fields that legitimately differ run to run.
 VOLATILE = ("latency_ms", "trace_id")
+#: Fields a routed reply may add or change: delivery, cache outcome.
+ROUTED = ("node", "attempts", "cache")
 
 GRAPH = {
     "kind": "graph",
@@ -76,14 +84,14 @@ BACKENDS = {
 }
 
 
-def canonical(response) -> str:
+def canonical(response, drop=VOLATILE) -> str:
     body = response.to_json()
-    for key in VOLATILE:
+    for key in drop:
         body.pop(key, None)
     return json.dumps(body, sort_keys=True)
 
 
-def run_cell(worker_mode, backend, workload, tmp_path):
+def run_cell(worker_mode, backend, workload, tmp_path, drop=VOLATILE):
     config = ServiceConfig(
         workers=1,
         worker_mode=worker_mode,
@@ -95,10 +103,32 @@ def run_cell(worker_mode, backend, workload, tmp_path):
     registry = MetricsRegistry()
     with StencilService(config, registry=registry) as service:
         replies = [
-            canonical(service.handle(dict(request), wait_timeout=120.0))
+            canonical(
+                service.handle(dict(request), wait_timeout=120.0), drop
+            )
             for request in WORKLOADS[workload]
         ]
     return replies, registry.snapshot()["counters"]
+
+
+def run_routed_cell(backend, workload, tmp_path, drop):
+    """One cell through a one-node router (thread executor)."""
+    config = RouterConfig(
+        nodes=1,
+        node=NodeConfig(
+            workers=1,
+            worker_mode="thread",
+            cache_dir=str(tmp_path / "cache"),
+            **BACKENDS[backend],
+        ),
+    )
+    with Router(config, registry=MetricsRegistry()) as router:
+        return [
+            canonical(
+                router.handle(dict(request), wait_timeout=120.0), drop
+            )
+            for request in WORKLOADS[workload]
+        ]
 
 
 _REFERENCE = {}
@@ -136,3 +166,17 @@ def test_response_bodies_identical(
         assert not counters.get(
             'service_lower_requests_total{path="fallback"}', 0
         )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("backend", ["compiled-numpy", "interpreted"])
+def test_routed_bodies_match_direct(backend, workload, tmp_path):
+    drop = VOLATILE + ROUTED
+    want, _ = run_cell(
+        "thread", backend, workload, tmp_path / "direct", drop
+    )
+    got = run_routed_cell(backend, workload, tmp_path / "routed", drop)
+    for request, expected, actual in zip(WORKLOADS[workload], want, got):
+        assert json.loads(actual)["status"] == "ok", actual
+        assert actual == expected, f"{request['id']} diverges when routed"

@@ -21,10 +21,12 @@ tests spawn *real* ``repro serve`` subprocess nodes through
 import collections
 import json
 import os
+import threading
 import time
 
 import pytest
 
+from repro.cli import build_parser
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import format_fabric_summary, format_service_metrics
 from repro.service.chaos import ChaosConfig, ChaosInjector
@@ -77,8 +79,6 @@ class TestRendezvousOrder:
 
 class _FakeNode:
     """A dispatch target that records wire lines instead of serving."""
-
-    transport = "fake"
 
     def __init__(self, idx):
         self.idx = idx
@@ -217,6 +217,67 @@ class TestPlacement:
         assert len(router._warm) == WARM_FINGERPRINTS
         assert "fp-0" not in router._warm  # least recent evicted
         assert f"fp-{WARM_FINGERPRINTS + 9}" in router._warm
+
+
+class TestControlRequests:
+    """Out-of-band control requests (metrics pulls), no subprocesses."""
+
+    def test_lost_connection_resolves_its_control_at_once(self):
+        router = Router(RouterConfig(nodes=2), registry=MetricsRegistry())
+        router._nodes = [_FakeNode(0), _FakeNode(1)]
+        router._started = True
+        lost, alive = router._nodes
+
+        def fabric_side():
+            deadline = time.monotonic() + 2.0
+            while not (lost.sent and alive.sent):
+                assert time.monotonic() < deadline, "controls never sent"
+                time.sleep(0.005)
+            router._on_response(
+                alive,
+                Response(
+                    id=alive.sent[-1]["id"],
+                    status="ok",
+                    summary={"counters": {"x": 1}},
+                ),
+            )
+            time.sleep(0.2)
+            lost.up = False
+            router._on_node_exit(lost, lost.generation)
+
+        helper = threading.Thread(target=fabric_side)
+        helper.start()
+        start = time.monotonic()
+        per_node = router.collect_node_metrics(timeout_s=3.0)
+        elapsed = time.monotonic() - start
+        helper.join()
+        assert per_node == {0: None, 1: {"counters": {"x": 1}}}
+        assert elapsed < 1.5, f"waited {elapsed:.2f}s for a lost node"
+        assert router._controls == {}
+
+
+class TestOneDataPlane:
+    """The router reaches every node over TCP; there is no pipe mode."""
+
+    def test_pipe_transport_is_rejected(self):
+        with pytest.raises(ValueError, match="pipe transport was removed"):
+            NodeConfig(transport="pipe")
+
+    def test_conn_chaos_needs_no_transport_argument(self):
+        config = RouterConfig(conn_kill_rate=0.1)
+        assert config.conn_kill_rate == 0.1
+
+    def test_every_spawned_node_listens_on_localhost(self):
+        for node in (NodeConfig(), NodeConfig(backend="compiled")):
+            argv = node.argv()
+            at = argv.index("--listen")
+            assert argv[at + 1] == "127.0.0.1:0"
+
+    def test_route_has_no_transport_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["route", "--transport", "tcp"])
+        assert excinfo.value.code == 2
+        assert "--transport" in capsys.readouterr().err
 
 
 def _read_node_counters(metrics_dir):
@@ -555,7 +616,6 @@ def _tcp_config(tmp_path, **overrides):
         node=NodeConfig(
             workers=2,
             cache_dir=str(tmp_path / "cache"),
-            transport="tcp",
             **node_kwargs,
         ),
         heartbeat_interval_s=0.5,
@@ -622,7 +682,6 @@ class TestTcpTransport:
         assert set(status) == {0, 1}
         for node_status in status.values():
             assert node_status["reachable"] is True
-            assert node_status["transport"] == "tcp"
             assert node_status["last_seen"] is not None
         assert set(fabric["node_status"]) == {"0", "1"}
         # Handshakes succeeded (counted node-side per connection).
@@ -806,7 +865,6 @@ class TestCrossRouterLeases:
                     node=NodeConfig(
                         workers=2,
                         cache_dir=cache_dir,
-                        transport="tcp",
                     ),
                     node_metrics_dir=metrics_dirs[r],
                 ),
@@ -996,7 +1054,6 @@ class TestRemoteNodes:
                 node=NodeConfig(
                     workers=2,
                     cache_dir=str(tmp_path / "cache"),
-                    transport="tcp",
                 ),
             )
             router = Router(
