@@ -246,7 +246,12 @@ class CompiledKernel:
 
     # -- execution -----------------------------------------------------
     def run(self, grid: np.ndarray) -> np.ndarray:
-        """One grid in, one flat float64 output row out."""
+        """One grid in, one flat float64 output row out.
+
+        The row is freshly owned memory (never a view of ``grid`` or
+        of a pooled buffer), so a caller may reshape it into the next
+        stage's input and drop it once that stage has run.
+        """
         return self.run_batch(grid[np.newaxis, ...])[0]
 
     def run_many(self, grids: List[np.ndarray]) -> List[np.ndarray]:
@@ -257,13 +262,16 @@ class CompiledKernel:
         (cached) arrays, skipping the stack copy entirely.  Row values
         are bit-identical either way — only the execution shape differs.
         """
-        if len(grids) == 1:
-            return [self.run(grids[0])]
-        per_item = len(self.program.reads) * self.n_outputs * 8
-        if per_item <= FUSE_BATCH_ITEM_BYTES:
+        if self.fuses(len(grids)):
             rows = self.run_batch(np.stack(grids))
             return [rows[i] for i in range(rows.shape[0])]
         return [self.run(g) for g in grids]
+
+    def fuses(self, batch: int) -> bool:
+        """Whether :meth:`run_many` stacks a ``batch`` of grids into one
+        :meth:`run_batch` call (else it runs them one at a time)."""
+        per_item = len(self.program.reads) * self.n_outputs * 8
+        return batch > 1 and per_item <= FUSE_BATCH_ITEM_BYTES
 
     def run_batch(self, grids: np.ndarray) -> np.ndarray:
         """``(batch,) + grid`` in, ``(batch, n_outputs)`` out."""
@@ -409,7 +417,11 @@ class CompiledKernel:
         keeps one hot buffer resident instead of streaming a new
         allocation through memory for every op (~3x on the RICIAN
         chain).  Scratch buffers are per call, never pooled across
-        calls, so returned rows are always freshly owned memory.
+        calls: :meth:`run` promises freshly owned rows, because callers
+        reshape each row into the next stage's input and still hold it
+        while later calls run — a pooled buffer would be overwritten
+        under them.  Dropping a dead row hands its pages back to the
+        allocator for the next stage to reuse.
         Scalar-only arithmetic stays in plain Python, exactly like
         :func:`repro.stencil.expr.evaluate`.
 

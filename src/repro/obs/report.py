@@ -452,6 +452,8 @@ def _fabric_node_rows(parts, node_status=None) -> List[dict]:
                     "errors": "-",
                     "cache_hit_rate": "-",
                     "restarts": "-",
+                    "cpu_s": "-",
+                    "minor_faults": "-",
                 }
             )
             continue
@@ -489,9 +491,25 @@ def _fabric_node_rows(parts, node_status=None) -> List[dict]:
                     round(served / lookups, 3) if lookups else "-"
                 ),
                 "restarts": int(restarts),
+                **_process_usage(snap),
             }
         )
     return rows
+
+
+def _process_usage(snap: dict) -> Dict[str, object]:
+    """A node's ``getrusage`` gauges (set on each metrics scrape) as
+    health-row cells; ``-`` for a source that does not report them."""
+    gauges = snap.get("gauges", {})
+    cpu = [
+        value for key, value in gauges.items()
+        if _split_key(key)[0] == "process_cpu_seconds"
+    ]
+    faults = gauges.get("process_minor_faults")
+    return {
+        "cpu_s": round(sum(cpu), 2) if cpu else "-",
+        "minor_faults": "-" if faults is None else int(faults),
+    }
 
 
 def _stage_percentile_rows(registry) -> List[dict]:

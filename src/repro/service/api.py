@@ -36,6 +36,7 @@ end-to-end latency live in :attr:`StencilService.metrics`.
 from __future__ import annotations
 
 import json
+import resource
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -294,6 +295,7 @@ class StencilService:
         drained = self.scheduler.wait_drained(timeout)
         self.executor.stop()
         self._started = False
+        self._record_process_usage()  # for a final --metrics-out export
         return drained
 
     def __enter__(self) -> "StencilService":
@@ -456,7 +458,8 @@ class StencilService:
         a benchmark/spec; they ride the ordinary request channel so the
         router needs no side band.  ``{"control": "metrics"}`` answers
         with an ``ok`` response whose ``summary`` is this node's full
-        metrics snapshot — the router merges these into the fabric
+        metrics snapshot, its ``process_*`` usage gauges read just
+        before — the router merges these into the fabric
         registry (see :meth:`MetricsRegistry.merge_snapshot`).
         """
         request_id = (
@@ -465,6 +468,7 @@ class StencilService:
         slot = self.scheduler.make_slot()
         verb = request.get("control")
         if verb == "metrics":
+            self._record_process_usage()
             slot.resolve(
                 Response(
                     id=request_id,
@@ -492,6 +496,25 @@ class StencilService:
                 )
             )
         return slot
+
+    def _record_process_usage(self) -> None:
+        """Set this process's CPU and minor-fault gauges from
+        ``getrusage`` — read on a metrics scrape and at shutdown,
+        never on the request path.
+
+        Minor faults include the pages a heap trim hands back to the
+        kernel and the next request touches again: a cost the stage
+        timings cannot show.  A merged fabric snapshot sums them
+        across nodes.
+        """
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        self.metrics.gauge(
+            "process_cpu_seconds", {"mode": "user"}
+        ).set(usage.ru_utime)
+        self.metrics.gauge(
+            "process_cpu_seconds", {"mode": "system"}
+        ).set(usage.ru_stime)
+        self.metrics.gauge("process_minor_faults").set(usage.ru_minflt)
 
     def _resolve_rejection(self, item: WorkItem) -> None:
         if self.scheduler.closed:

@@ -8,15 +8,17 @@ Every request is a pipeline of one or more
 :class:`~repro.service.workload.PlannedStage` — a proto:1 request is
 the one-stage case, an ``iterate(t)`` or ``graph`` workload has more —
 and every executor and backend runs it through one pure function,
-:func:`run_stages`.  It executes each stage batched over the group's
-seeds: through compiled kernels (:mod:`repro.lower`) when the backend
+:func:`run_stages`.  It executes each stage over the group's seeds:
+through compiled kernels (:mod:`repro.lower`) when the backend
 supplies them, else through the *vectorized golden path*
 (:mod:`repro.stencil.golden`, the paper-exact NumPy evaluation), with
 the Fig 13c reshape hand-off between stages.  It returns a SHA-256
-digest per stage, one NumPy (pairwise) mean of the final output and
-the canary verdict — never the raw grid.  Backends differ only in
-where kernels come from: a :class:`~repro.lower.engine.CompiledEngine`
-or none.
+digest per stage, taken as the stage produces its output, one NumPy
+(pairwise) mean of the final output and the canary verdict — never
+the raw grid.  Like the paper's filter chain, which holds no whole
+intermediate grid, a compiled chain keeps no stage's output past its
+hand-off to the next stage.  Backends differ only in where kernels
+come from: a :class:`~repro.lower.engine.CompiledEngine` or none.
 
 Two executors share everything else through :class:`ExecutorBase`
 (expiry, per-stage cache lookup, canary policy, responses):
@@ -48,6 +50,7 @@ several times more often than long-cached ones.
 from __future__ import annotations
 
 import hashlib
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -107,6 +110,8 @@ __all__ = [
     "validate_plan",
     "worse_cache_outcome",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: Millisecond buckets shared by the service latency histograms.
 LATENCY_BUCKETS_MS = (
@@ -232,16 +237,21 @@ def execute_pipeline(stages, seed: int):
 
 
 def stage_summaries(stages, results) -> List[dict]:
-    """The per-stage response dicts (``Response.stages``)."""
+    """The per-stage response dicts (``Response.stages``).
+
+    ``results`` holds ``(outputs, digest)`` per stage, where
+    ``outputs`` is the stage's output array (:func:`execute_pipeline`)
+    or just its length (:attr:`ItemResult.results`).
+    """
     return [
         {
             "stage": stage.index,
             "name": stage.spec.name,
             "fingerprint": stage.fingerprint,
             "checksum": digest[:16],
-            "n_outputs": int(arr.size),
+            "n_outputs": int(getattr(outputs, "size", outputs)),
         }
-        for stage, (arr, digest) in zip(stages, results)
+        for stage, (outputs, digest) in zip(stages, results)
     ]
 
 
@@ -354,20 +364,25 @@ def compile_failure(stages, stage, exc: Exception) -> str:
 class ItemResult:
     """One request's outcome from :func:`run_stages`."""
 
-    #: ``(C-contiguous float64 output, SHA-256 hex digest)`` per stage.
-    results: List[Tuple[np.ndarray, str]] = field(default_factory=list)
+    #: ``(n_outputs, SHA-256 hex digest)`` per stage.  Each digest is
+    #: taken the moment its stage produced the output, so no stage's
+    #: output outlives the item's own work.
+    results: List[Tuple[int, str]] = field(default_factory=list)
     n_outputs: int = 0
     #: NumPy's pairwise mean of the final stage's outputs (0.0 if none).
     mean: float = 0.0
     validated: Optional[bool] = None
+    #: True when compiled kernels produced the outputs.
+    compiled: bool = False
     #: ``None`` on success; ``"validation"`` when the canary refuted a
     #: plan, ``"exception"`` for a retryable execution failure.
     error_kind: Optional[str] = None
     error: str = ""
-    #: ``perf_counter_ns`` when this item's own work began — its
-    #: interpreted chain, or the digests and mean of its compiled
-    #: outputs — and that work's wall time.  The canary follows at
-    #: once; its wall time is 0 when the item was not validated.
+    #: ``perf_counter_ns`` when this item's own work began — its chain
+    #: (compiled kernels or interpreted) with every stage's digest, or,
+    #: in a fused group, the mean of its final output — and that
+    #: work's wall time.  The canary follows at once; its wall time is
+    #: 0 when the item was not validated.
     started_ns: int = 0
     execute_ns: int = 0
     canary_ns: int = 0
@@ -400,14 +415,18 @@ class StagesRun:
     """What :func:`run_stages` did for one group, as data."""
 
     items: List[ItemResult]
-    #: True when the compiled kernels produced the outputs.
-    compiled: bool = False
     #: Why the kernels were abandoned for the interpreted path.
     kernel_error: Optional[str] = None
-    #: ``perf_counter_ns`` when the run began (the batched kernel pass
-    #: starts there), and that pass's wall time (0 when interpreted).
+    #: ``perf_counter_ns`` when the run began (a fused group's kernel
+    #: pass starts there), and that pass's wall time (0 when the items
+    #: ran one at a time).
     started_ns: int = 0
     kernel_ns: int = 0
+
+    @property
+    def compiled(self) -> int:
+        """How many items the compiled kernels produced."""
+        return sum(item.compiled for item in self.items)
 
     @property
     def execute_ns(self) -> int:
@@ -416,79 +435,89 @@ class StagesRun:
         return self.kernel_ns + sum(item.execute_ns for item in self.items)
 
 
-def _run_kernels(stages, kernels, seeds, engine: CompiledEngine):
-    """Every stage as one batched ``run_many`` over the group; returns
-    each item's per-stage outputs (C-contiguous float64)."""
-    current = [engine.input_grid(stages[0].spec, seed) for seed in seeds]
-    per_item: List[List[np.ndarray]] = [[] for _ in seeds]
-    for idx, (stage, kernel) in enumerate(zip(stages, kernels)):
-        arrs = [
-            np.ascontiguousarray(row, dtype=np.float64)
-            for row in kernel.run_many(current)
-        ]
-        for outputs, arr in zip(per_item, arrs):
-            outputs.append(arr)
-        if idx + 1 < len(stages):
-            shape = intermediate_grid_shape(stage.spec)
-            current = [arr.reshape(shape) for arr in arrs]
-    return per_item
+def _digest(arr: np.ndarray) -> str:
+    """SHA-256 of a C-contiguous float64 output: the bytes of
+    ``arr.tobytes()``, hashed from the buffer itself without copying
+    it."""
+    return hashlib.sha256(arr.data).hexdigest()
 
 
-def _item_results(stages, seed: int, outputs):
-    """``(input grid, [(output, digest), ...])`` of one item.
+def _hash_chain(stages, kernels, grids):
+    """Run ``grids`` through every stage's kernel, batched.
 
-    ``outputs`` are its compiled stage outputs, or ``None`` to run the
-    interpreted golden chain; compiled results carry no input grid
-    (the canary regenerates it with the golden replay).
+    Each stage's rows are hashed as soon as the stage produces them and
+    are dropped once the next stage has consumed them, so at most two
+    stages' outputs are live at a time whatever the chain's length.
+    Returns ``(digests, finals)``: per grid, its ``(n_outputs, digest)``
+    per stage and its final stage's output.
     """
-    if outputs is None:
-        return execute_pipeline(stages, seed)
-    # Hash each buffer itself: the bytes of ``arr.tobytes()`` without
-    # copying a megabyte per request on large grids.
-    return None, [
-        (arr, hashlib.sha256(arr.data).hexdigest()) for arr in outputs
-    ]
+    digests: List[List[Tuple[int, str]]] = [[] for _ in grids]
+    rows = grids
+    for idx, kernel in enumerate(kernels):
+        if idx:
+            shape = intermediate_grid_shape(stages[idx - 1].spec)
+            rows = [row.reshape(shape) for row in rows]
+        rows = [
+            np.ascontiguousarray(row, dtype=np.float64)
+            for row in kernel.run_many(rows)
+        ]
+        for item, row in zip(digests, rows):
+            item.append((int(row.size), _digest(row)))
+    return digests, rows
 
 
-def _canary(stages, plans, seed: int, results, grid) -> None:
-    """Validate one item's results; ``grid`` is None for compiled ones.
+def _golden_chain(stages, seed: int):
+    """The interpreted chain of one item: ``(digests, final,
+    reference)``, where ``reference`` is :func:`execute_pipeline`'s
+    ``(input grid, results)`` — every array, for the canary."""
+    grid, results = execute_pipeline(stages, seed)
+    digests = [(int(arr.size), digest) for arr, digest in results]
+    return digests, results[-1][0], (grid, results)
+
+
+def _canary(stages, plans, seed: int, digests, reference) -> None:
+    """Validate one item; ``reference`` is None for compiled ones.
 
     A compiled result first proves bit-identity, stage by stage,
     against the interpreted :func:`execute_pipeline`; then every
     stage's plan is cycle-simulated (:func:`validate_pipeline`).
     """
-    if grid is None:
-        grid, golden = execute_pipeline(stages, seed)
-        for stage, (_, got), (_, want) in zip(stages, results, golden):
+    if reference is None:
+        reference = execute_pipeline(stages, seed)
+        for stage, (_, got), (_, want) in zip(
+            stages, digests, reference[1]
+        ):
             if got != want:
                 raise PlanValidationError(
                     f"compiled stage {stage.index} ({stage.spec.name}) "
                     "outputs diverge from the golden reference"
                 )
-        results = golden
-    validate_pipeline(stages, plans, grid, results)
+    validate_pipeline(stages, plans, *reference)
 
 
-def _finish_item(stages, plans, seed: int, outputs, validate: bool):
-    """One item's digests, mean and (if asked) canary, timed."""
+def _finish_item(stages, plans, seed: int, produce, validate: bool):
+    """One item's chain (``produce()`` returns its ``(digests, final,
+    reference)``), mean and (if asked) canary, timed."""
     started = time.perf_counter_ns()
+    reference = None
     try:
-        grid, results = _item_results(stages, seed, outputs)
+        digests, final, reference = produce()
     except Exception as exc:
         item = ItemResult(error_kind="exception", error=str(exc))
     else:
-        final = results[-1][0]
         item = ItemResult(
-            results=results,
+            results=digests,
             n_outputs=int(final.size),
             mean=float(np.mean(final)) if final.size else 0.0,
+            compiled=reference is None,
         )
+        del final
     item.started_ns = started
     item.execute_ns = time.perf_counter_ns() - started
     if validate and item.error_kind is None:
         started = time.perf_counter_ns()
         try:
-            _canary(stages, plans, seed, item.results, grid)
+            _canary(stages, plans, seed, item.results, reference)
             item.validated = True
         except PlanValidationError as exc:
             item.error_kind, item.error = "validation", str(exc)
@@ -512,38 +541,72 @@ def run_stages(
 
     ``stages`` and ``plans`` are the decoded pipeline and its cached
     plans.  ``kernels`` is ``None`` for the interpreted path, or one
-    compiled kernel per stage, fed input grids from ``engine`` and run
-    batched over the group; a kernel that raises is a lowering gap, so
-    the group then runs interpreted (``kernel_error`` says why).
+    compiled kernel per stage, fed input grids from ``engine``; a
+    kernel that raises is a lowering gap, so that item and the rest of
+    the group run interpreted (``kernel_error`` says why).
     ``validate[i]`` asks for the canary on item ``i``; ``traces[i]``
     is item ``i``'s ``(trace_id, parent_span_id)``, under which its own
     work and canary run, so the spans they open (``service.stage``,
     ``service.validate``) join that request's trace.
 
-    Items then finish one at a time — digests, mean, canary — and
+    Every stage's output is hashed as soon as it is produced and
+    dropped once the next stage has consumed it; only the final
+    stage's output lives on, until its mean is taken.  A warm request
+    thus holds O(1) stage outputs, not O(stages), and reuses the heap
+    it already touched.  Small grids that the kernels fuse
+    (:meth:`CompiledKernel.fuses`) first run as one stacked pass over
+    the group, stage by stage; everything else runs item by item, each
+    item's whole chain at once, which loses no batching because the
+    kernels would run such grids one at a time anyway.
+
+    Items finish one at a time — chain, digests, mean, canary — and
     ``on_item(i, result)`` sees each as soon as it is final, so a
     caller can answer early requests (whose clients then queue their
-    next ones) while later items are still being hashed.  No I/O and
-    no metrics: callers record the returned timings and counts.
+    next ones) while later items are still running.  No I/O and no
+    metrics: callers record the returned timings and counts.
     """
     validate = validate or [False] * len(seeds)
     traces = traces or [(None, None)] * len(seeds)
     run = StagesRun(items=[], started_ns=time.perf_counter_ns())
-    compiled = None
-    if kernels is not None:
+    fused = None
+    if kernels is not None and any(
+        kernel.fuses(len(seeds)) for kernel in kernels
+    ):
         try:
-            compiled = _run_kernels(stages, kernels, seeds, engine)
-            run.compiled = True
+            fused = _hash_chain(
+                stages,
+                kernels,
+                [engine.input_grid(stages[0].spec, seed) for seed in seeds],
+            )
         except Exception as exc:
             run.kernel_error = str(exc) or type(exc).__name__
+            kernels = None
         run.kernel_ns = time.perf_counter_ns() - run.started_ns
+
+    def produce(index: int, seed: int):
+        nonlocal kernels
+        if fused is not None:
+            return fused[0][index], fused[1][index], None
+        if kernels is not None:
+            try:
+                digests, finals = _hash_chain(
+                    stages,
+                    kernels,
+                    [engine.input_grid(stages[0].spec, seed)],
+                )
+                return digests[0], finals[0], None
+            except Exception as exc:
+                run.kernel_error = str(exc) or type(exc).__name__
+                kernels = None
+        return _golden_chain(stages, seed)
+
     for index, seed in enumerate(seeds):
         with trace_context(*traces[index]):
             item = _finish_item(
                 stages,
                 plans,
                 seed,
-                compiled and compiled[index],
+                lambda: produce(index, seed),
                 validate[index],
             )
         run.items.append(item)
@@ -612,12 +675,14 @@ def path_counts(
     """The lowering-report entries of one run: how many items ran
     compiled, or fell back and why (``refused`` is the lowering's
     refusal reason, if it refused)."""
-    n = len(run.items)
+    n, compiled = len(run.items), run.compiled
+    counts: Dict[str, Any] = {"compiled": compiled} if compiled else {}
     if run.kernel_error is not None:
-        return {"fallback": {"kernel_error": n}, "kernel_errors": 1}
-    if refused is not None:
-        return {"fallback": {refused: n}}
-    return {"compiled": n} if run.compiled else {}
+        counts["fallback"] = {"kernel_error": n - compiled}
+        counts["kernel_errors"] = 1
+    elif refused is not None:
+        counts["fallback"] = {refused: n}
+    return counts
 
 
 def make_response(
@@ -884,21 +949,47 @@ class ExecutorBase:
     # -- the group processor -------------------------------------------
     def _process_group(self, items: List[WorkItem], *where: Any) -> None:
         """One same-fingerprint group: expire what waited too long,
-        then hand the rest to the backend's :meth:`_execute`."""
-        dequeued_ns = time.perf_counter_ns()
-        live: List[WorkItem] = []
-        for item in items:
-            observe_stage(
-                self.registry,
-                "queue_wait",
-                (dequeued_ns - item.admitted_ns) / 1e6,
-            )
-            if item.expired():
-                self._resolve_timeout(item)
-            else:
-                live.append(item)
-        if live:
-            self._execute(live, *where)
+        then hand the rest to the backend's :meth:`_execute`.
+
+        Nothing escapes a group: an exception out of it (a fault in a
+        resolution path, say) resolves the group's still-unresolved
+        items as ``error`` / ``internal`` and is counted on
+        ``service_worker_errors_total{stage}``, so the worker lives on
+        to serve the next group instead of leaving every later request
+        to wait out its client timeout.
+        """
+        stage = "dequeue"
+        try:
+            dequeued_ns = time.perf_counter_ns()
+            live: List[WorkItem] = []
+            for item in items:
+                observe_stage(
+                    self.registry,
+                    "queue_wait",
+                    (dequeued_ns - item.admitted_ns) / 1e6,
+                )
+                if item.expired():
+                    self._resolve_timeout(item)
+                else:
+                    live.append(item)
+            if live:
+                stage = "execute"
+                self._execute(live, *where)
+        except Exception as exc:
+            _log.exception("service worker: group failed in %s", stage)
+            self.registry.counter(
+                "service_worker_errors_total", {"stage": stage}
+            ).inc()
+            for item in items:  # resolved items ignore a second answer
+                self._resolve(
+                    item,
+                    make_response(
+                        item,
+                        "error",
+                        error=f"internal error: {exc}",
+                        error_kind="internal",
+                    ),
+                )
 
     def _execute(self, live: List[WorkItem], *where: Any) -> None:
         raise NotImplementedError
@@ -1241,8 +1332,8 @@ class PlanExecutor(ExecutorBase):
         exemplar = runnable[0]
         label = exemplar.label or exemplar.spec.name
         if run.kernel_ns:
-            # One batched kernel pass serves the group: one span, in
-            # the first request's trace.
+            # One fused kernel pass serves the group: one span, in the
+            # first request's trace.
             record_span(
                 "lower.execute",
                 run.started_ns,
@@ -1254,7 +1345,7 @@ class PlanExecutor(ExecutorBase):
             )
         for item, result in zip(runnable, run.items):
             record_span(
-                "lower.execute" if run.compiled else "service.execute",
+                "lower.execute" if result.compiled else "service.execute",
                 result.started_ns,
                 result.started_ns + result.execute_ns,
                 trace_id=item.trace_id,

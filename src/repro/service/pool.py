@@ -406,7 +406,7 @@ def _run_job(
     )
     lower.update(path_counts(run, lower.pop("refused", None)))
     # The spans tile the run, so the worker_* stage histograms sum to
-    # its real time: one span for the batched kernel pass (the group's,
+    # its real time: one span for a fused kernel pass (the group's,
     # like worker.lower), then per exec its own work and its canary.
     if run.kernel_ns:
         spans.add(
