@@ -431,14 +431,17 @@ def _fabric_node_rows(parts, node_status=None) -> List[dict]:
 
     ``node_status`` optionally maps a source label to the router's
     :meth:`Router.node_status` entry for that node, so unreachable
-    rows can report when the node was last heard from.
+    rows can report when the node was last heard from, and every node
+    row shows its last launch-to-connected time (``start_ms``).
     """
     node_status = node_status or {}
     rows = []
     for label, snap in parts:
+        status = node_status.get(label)
+        start_ms = (status or {}).get("start_ms")
+        start_ms = "-" if start_ms is None else round(start_ms, 1)
         if snap is None:
             health = "unreachable"
-            status = node_status.get(label)
             if status is not None:
                 health += (
                     f" ({_format_last_seen(status.get('last_seen'))})"
@@ -452,6 +455,7 @@ def _fabric_node_rows(parts, node_status=None) -> List[dict]:
                     "errors": "-",
                     "cache_hit_rate": "-",
                     "restarts": "-",
+                    "start_ms": start_ms,
                     "cpu_s": "-",
                     "minor_faults": "-",
                 }
@@ -491,6 +495,7 @@ def _fabric_node_rows(parts, node_status=None) -> List[dict]:
                     round(served / lookups, 3) if lookups else "-"
                 ),
                 "restarts": int(restarts),
+                "start_ms": start_ms,
                 **_process_usage(snap),
             }
         )

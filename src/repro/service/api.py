@@ -36,7 +36,6 @@ end-to-end latency live in :attr:`StencilService.metrics`.
 from __future__ import annotations
 
 import json
-import resource
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -45,7 +44,12 @@ from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.tracing import span, trace_context
 from ..lower.engine import LoweringConfig
 from .chaos import ChaosConfig
-from .executor import make_executor, make_response, observe_stage
+from .executor import (
+    make_executor,
+    make_response,
+    observe_stage,
+    self_usage,
+)
 from .plancache import PlanCache
 from .proto import ProtoError, Request, Response, error_response
 from .pool import ProcessPlanExecutor  # noqa: F401 (registers backend)
@@ -498,23 +502,28 @@ class StencilService:
         return slot
 
     def _record_process_usage(self) -> None:
-        """Set this process's CPU and minor-fault gauges from
-        ``getrusage`` — read on a metrics scrape and at shutdown,
-        never on the request path.
+        """Set the CPU and minor-fault gauges from this process's
+        ``getrusage`` plus its pool workers' own reports — read on a
+        metrics scrape and at shutdown, never on the request path.
 
         Minor faults include the pages a heap trim hands back to the
         kernel and the next request touches again: a cost the stage
         timings cannot show.  A merged fabric snapshot sums them
         across nodes.
         """
-        usage = resource.getrusage(resource.RUSAGE_SELF)
+        user, system, faults = (
+            own + workers
+            for own, workers in zip(
+                self_usage(), self.executor.worker_usage()
+            )
+        )
         self.metrics.gauge(
             "process_cpu_seconds", {"mode": "user"}
-        ).set(usage.ru_utime)
+        ).set(user)
         self.metrics.gauge(
             "process_cpu_seconds", {"mode": "system"}
-        ).set(usage.ru_stime)
-        self.metrics.gauge("process_minor_faults").set(usage.ru_minflt)
+        ).set(system)
+        self.metrics.gauge("process_minor_faults").set(faults)
 
     def _resolve_rejection(self, item: WorkItem) -> None:
         if self.scheduler.closed:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import resource
 import threading
 import time
 from dataclasses import dataclass, field
@@ -144,6 +145,16 @@ def observe_stage(
     registry.histogram(
         name, {"stage": stage}, buckets=STAGE_BUCKETS_MS
     ).observe(ms)
+
+
+#: ``(user CPU s, system CPU s, minor faults)`` of one process.
+Usage = Tuple[float, float, int]
+
+
+def self_usage() -> Usage:
+    """This process's own :data:`Usage` so far (``RUSAGE_SELF``)."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime, usage.ru_stime, usage.ru_minflt
 
 
 class PlanValidationError(RuntimeError):
@@ -818,6 +829,11 @@ class ExecutorBase:
             hot_window=canary_hot_window,
             registry=registry,
         )
+
+    def worker_usage(self) -> Usage:
+        """The :data:`Usage` of worker processes, which this
+        process's own ``getrusage`` cannot see; none in-process."""
+        return 0.0, 0.0, 0
 
     # -- canary policy -------------------------------------------------
     def _note_cache_outcome(self, fp: str, outcome: str) -> None:

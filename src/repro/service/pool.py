@@ -56,6 +56,7 @@ from .executor import (
     LATENCY_BUCKETS_MS,
     ExecutorBase,
     PlanValidationError,
+    Usage,
     compile_failure,
     compile_plan,
     lower_stages,
@@ -64,6 +65,7 @@ from .executor import (
     register_executor,
     path_counts,
     run_stages,
+    self_usage,
 )
 from .fingerprint import CompileOptions
 from .plancache import CachedPlan, PlanCache
@@ -473,6 +475,10 @@ def _worker_main(conn, shard_id: int, chaos_json: Optional[dict]) -> None:
             reply = _run_job(msg, plans, chaos, engine)
         except Exception as exc:  # belt and braces: never die silently
             reply = {"kind": "error", "error": f"worker error: {exc}"}
+        # A worker may be the fork server's child, not the node's, so
+        # the node's RUSAGE_CHILDREN cannot be relied on to see it:
+        # each reply carries the worker's own usage so far instead.
+        reply["rusage"] = self_usage()
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -495,6 +501,22 @@ class _WorkerShard:
         self.conn = None
         self.lock = threading.Lock()
         self.queue: "queue.Queue" = queue.Queue()
+        #: The live worker's last reported usage, and the sum of the
+        #: final reports of the workers reaped before it.
+        self.usage: Usage = (0.0, 0.0, 0)
+        self.retired: Usage = (0.0, 0.0, 0)
+        self.usage_lock = threading.Lock()
+
+    def recv(self) -> Dict[str, Any]:
+        """One reply from the worker, noting the usage it reports."""
+        reply = self.conn.recv()
+        with self.usage_lock:
+            self.usage = reply.get("rusage", self.usage)
+        return reply
+
+    def total_usage(self) -> Usage:
+        with self.usage_lock:
+            return _add_usage(self.retired, self.usage)
 
     def spawn(self) -> None:
         parent_conn, child_conn = self.ctx.Pipe()
@@ -523,6 +545,13 @@ class _WorkerShard:
                 self.proc.kill()
             self.proc.join(5.0)
         self.proc = self.conn = None
+        with self.usage_lock:
+            self.retired = _add_usage(self.retired, self.usage)
+            self.usage = (0.0, 0.0, 0)
+
+
+def _add_usage(a: Usage, b: Usage) -> Usage:
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
 
 
 class ProcessPlanExecutor(ExecutorBase):
@@ -663,6 +692,13 @@ class ProcessPlanExecutor(ExecutorBase):
             finally:
                 if acquired:
                     shard.lock.release()
+
+    def worker_usage(self) -> Usage:
+        """Every worker's reported usage, live and reaped."""
+        total: Usage = (0.0, 0.0, 0)
+        for shard in self._shards:
+            total = _add_usage(total, shard.total_usage())
+        return total
 
     # -- breaker plumbing ----------------------------------------------
     def _breaker(self, fp: str) -> CircuitBreaker:
@@ -828,14 +864,14 @@ class ProcessPlanExecutor(ExecutorBase):
                 return "hung", None
             try:
                 if shard.conn.poll(min(0.05, remaining)):
-                    return "ok", shard.conn.recv()
+                    return "ok", shard.recv()
             except (EOFError, OSError):
                 return "died", None
             if not shard.alive():
                 # One last drain: the reply may have raced the death.
                 try:
                     if shard.conn.poll(0):
-                        return "ok", shard.conn.recv()
+                        return "ok", shard.recv()
                 except (EOFError, OSError):
                     pass
                 return "died", None

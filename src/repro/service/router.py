@@ -43,6 +43,17 @@ without a response*:
   dead processes, and with a shared ``cache_dir`` the sibling promotes
   the already-compiled plan from the disk tier instead of recompiling.
 
+Nodes start concurrently.  A start is two steps: launch the process,
+then take its ``{"listening": ...}`` announcement, which a short-lived
+reader thread per launch hands over.  :meth:`Router.start` launches
+every node before it waits on any, under one deadline
+(:data:`ANNOUNCE_TIMEOUT_S`), and connects each as its announcement
+arrives; the supervisor launches respawns the same way and picks the
+announcement up on a later tick, so a slow or silent child never
+delays another node's heartbeat, wedge sweep or reconnect.  Each
+launch-to-connected time is observed as
+``router_stage_ms{stage="node_start"}``.
+
 Health, queue depth and ownership churn are exported per node through
 :mod:`repro.obs` (``router_node_up``, ``router_node_pending``,
 ``router_ownership_churn_total``, ...).  Whole-node chaos (seeded
@@ -55,6 +66,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -106,6 +118,10 @@ __all__ = [
 #: Bound on the router's warm-fingerprint set (least recently answered
 #: evicted).  An evicted fingerprint just falls back to the cold rule.
 WARM_FINGERPRINTS = 4096
+
+#: Seconds a launched node may take to announce its address.  A child
+#: that stays silent this long is killed and relaunched with backoff.
+ANNOUNCE_TIMEOUT_S = 30.0
 
 
 def rendezvous_order(fp: str, nodes: int) -> Tuple[int, ...]:
@@ -311,6 +327,17 @@ class _Node:
             timeout_s=config.heartbeat_timeout_s,
         )
         self.spawn_count = 0
+        #: Launched, and the announcement not yet taken up: the node
+        #: is neither ready nor worth a connect attempt.
+        self.starting = False
+        #: The reader of the current launch has finished: ``address``
+        #: is what it heard (None: stdout closed before announcing).
+        self.heard = False
+        #: Monotonic time of the launch still waiting for its first
+        #: connect (None otherwise); ``start_ms`` is the last
+        #: launch-to-connected time.
+        self.launched_at: Optional[float] = None
+        self.start_ms: Optional[float] = None
         #: Reconnect pacing: the monitor skips this node until here.
         self.next_attempt_at = 0.0
         self.connect_attempt = 0
@@ -337,8 +364,9 @@ class _Node:
             ]
         return out
 
-    def spawn(self) -> None:
-        """Start the process and read its ``listening`` announcement."""
+    def launch(self) -> None:
+        """Start the process without waiting for it: its address
+        arrives later, through :meth:`read_announcement`."""
         env = os.environ.copy()
         # Make ``python -m repro`` resolvable even when the parent was
         # launched from outside the source tree.
@@ -347,7 +375,7 @@ class _Node:
         )
         path = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
-        self.proc = subprocess.Popen(
+        proc = subprocess.Popen(
             self._argv(),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
@@ -356,21 +384,33 @@ class _Node:
             bufsize=1,
             env=env,
         )
+        with self.write_lock:
+            self.proc = proc
+            self.address = None
+            self.heard = False
         self.spawn_count += 1
         self.closing = False
-        self.address = None
-        assert self.proc.stdout is not None
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            line = self.proc.stdout.readline()
-            if not line:
-                break  # process died before announcing
+        self.launched_at = time.monotonic()
+        self.starting = True
+
+    @staticmethod
+    def read_announcement(proc) -> Optional[Tuple[str, int]]:
+        """Block until ``proc`` prints its ``listening`` line; None
+        when its stdout closes first (it died before announcing)."""
+        for line in iter(proc.stdout.readline, ""):
             try:
-                data = json.loads(line)
-                self.address = parse_address(str(data["listening"]))
-                return
+                return parse_address(str(json.loads(line)["listening"]))
             except (KeyError, TypeError, ValueError):
                 continue  # tolerate stray stdout noise
+        return None
+
+    def hand_over(self, proc, address: Optional[Tuple[str, int]]) -> None:
+        """Record what ``proc``'s reader heard, unless the node has
+        been relaunched since."""
+        with self.write_lock:
+            if proc is self.proc:
+                self.address = address
+                self.heard = True
 
     def connect(self, hello: Hello, backoff: BackoffPolicy) -> None:
         """One connect+handshake try; raises TransportError/OSError."""
@@ -454,8 +494,12 @@ class _RemoteNode(_Node):
         super().__init__(idx, config)
         self.address = address
 
-    def spawn(self) -> None:
-        self.spawn_count += 1  # no process: the endpoint just exists
+    def launch(self) -> None:
+        # No process: the endpoint just exists, already "announced".
+        self.spawn_count += 1
+        self.heard = True
+        self.launched_at = time.monotonic()
+        self.starting = True
 
     def needs_respawn(self) -> bool:
         return False
@@ -500,6 +544,9 @@ class Router:
         )
         self._backoff = self.config.backoff()
         self._lock = threading.Lock()
+        #: Notified by each launch's reader once it has handed over
+        #: what it heard; :meth:`_await_starts` waits on it.
+        self._announced = threading.Condition()
         self._drained = threading.Condition(self._lock)
         self._pending: Dict[str, _Pending] = {}
         #: Per-node count of ``_pending`` entries, kept in step with
@@ -576,11 +623,13 @@ class Router:
             cleanup_stale_artifacts(
                 self.config.node.cache_dir, registry=self.metrics
             )
+        # Every process is launched before any announcement is read,
+        # so the fabric pays for one node start, not one per node.
         for node in self._nodes:
-            node.spawn()
-            # A failed first connect is not fatal: the monitor keeps
-            # retrying with backoff until the endpoint answers.
-            self._connect(node)
+            node.launch()
+        for node in self._nodes:
+            self._watch(node)
+        self._await_starts()
         self._monitor = threading.Thread(
             target=self._monitor_loop,
             name="router-monitor",
@@ -588,6 +637,75 @@ class Router:
         )
         self._monitor.start()
         return self
+
+    def _watch(self, node: _Node) -> None:
+        """Read ``node``'s announcement on a short-lived thread that
+        hands it over; never blocks the caller."""
+        proc = node.proc
+        if proc is None:
+            return  # a remote endpoint: nothing to read
+
+        def read() -> None:
+            node.hand_over(proc, node.read_announcement(proc))
+            with self._announced:
+                self._announced.notify_all()
+
+        threading.Thread(
+            target=read,
+            name=f"router-node-{node.idx}-announce",
+            daemon=True,
+        ).start()
+
+    def _advance_start(self, node: _Node, now: float) -> None:
+        """Move one launch on without blocking: connect the node once
+        its address is handed over; kill it if it exited first or
+        stayed silent for :data:`ANNOUNCE_TIMEOUT_S`, and pace its
+        relaunch with the ``spawn-{idx}`` backoff."""
+        if node.heard and node.address is not None:
+            node.starting = False
+            # A failed first connect is not fatal: the monitor keeps
+            # retrying with backoff until the endpoint answers.
+            self._connect(node)
+            return
+        if not node.heard and now - node.launched_at < ANNOUNCE_TIMEOUT_S:
+            return  # still starting
+        node.starting = False
+        node.launched_at = None
+        node.kill()
+        # Pace the relaunch so a crash-looping child cannot melt the
+        # monitor.
+        pause = self._backoff.delay(
+            node.connect_attempt, f"spawn-{node.idx}"
+        )
+        node.connect_attempt += 1
+        node.next_attempt_at = time.monotonic() + pause
+
+    def _await_starts(self, until: float = math.inf) -> None:
+        """Connect every launched node as its announcement arrives.
+
+        One deadline, counted from the latest launch, covers them all:
+        N silent children cost one :data:`ANNOUNCE_TIMEOUT_S`, not N.
+        Returns early at ``until``, leaving the rest starting.
+        """
+        while True:
+            now = time.monotonic()
+            for node in self._nodes:
+                if node.starting:
+                    self._advance_start(node, now)
+            starting = [node for node in self._nodes if node.starting]
+            if not starting or now >= until:
+                return
+            deadline = min(
+                until,
+                max(node.launched_at for node in starting)
+                + ANNOUNCE_TIMEOUT_S,
+            )
+            with self._announced:
+                while not any(node.heard for node in starting):
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._announced.wait(remaining)
 
     def _connect(self, node: _Node) -> bool:
         """One connect+handshake attempt; schedules the next on loss."""
@@ -613,6 +731,15 @@ class Router:
         if node.generation > 0:
             self._count(
                 "router_reconnects_total", self._node_labels(node.idx)
+            )
+        if node.launched_at is not None:
+            node.start_ms = (time.monotonic() - node.launched_at) * 1e3
+            node.launched_at = None
+            observe_stage(
+                self.metrics,
+                "node_start",
+                node.start_ms,
+                name="router_stage_ms",
             )
         conn, generation = node.conn, node.generation
         reader = threading.Thread(
@@ -1234,6 +1361,7 @@ class Router:
                 "reachable": node.ready(),
                 "last_seen": node.last_seen or None,
                 "generation": node.generation,
+                "start_ms": node.start_ms,
             }
             for node in self._nodes
         }
@@ -1288,13 +1416,18 @@ class Router:
     def _supervise(self, node: _Node, now: float) -> None:
         """One supervision tick of a node.
 
-        Ordering matters: process death forces respawn+reconnect; a
-        live process with a lost connection reconnects, paced by the
-        backoff schedule; a live connection gets heartbeat service —
-        send a due ping, and tear down a link whose outstanding ping
-        aged past the heartbeat timeout (the half-open signature).
+        Ordering matters: a launch in flight is only checked for its
+        announcement, never waited on; process death forces a
+        relaunch; a live process with a lost connection reconnects,
+        paced by the backoff schedule; a live connection gets
+        heartbeat service — send a due ping, and tear down a link
+        whose outstanding ping aged past the heartbeat timeout (the
+        half-open signature).
         """
         if self._closed or node.closing:
+            return
+        if node.starting:
+            self._advance_start(node, now)
             return
         if node.needs_respawn():
             if now < node.next_attempt_at:
@@ -1304,17 +1437,8 @@ class Router:
                 "router_node_restarts_total",
                 self._node_labels(node.idx),
             )
-            node.spawn()
-            if node.address is None:
-                # Died before announcing a port — pace the respawns
-                # so a crash-looping child cannot melt the monitor.
-                pause = self._backoff.delay(
-                    node.connect_attempt, f"spawn-{node.idx}"
-                )
-                node.connect_attempt += 1
-                node.next_attempt_at = time.monotonic() + pause
-                return
-            self._connect(node)
+            node.launch()
+            self._watch(node)
             return
         if not node.ready():
             if now >= node.next_attempt_at:
@@ -1375,10 +1499,13 @@ class Router:
         self._stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
+        budget = time.monotonic() + timeout
+        # A respawn still starting finishes like its siblings: its
+        # process must start before it can drain anyway.
+        self._await_starts(until=budget)
         for node in self._nodes:
             node.close_stdin()
         clean = True
-        budget = time.monotonic() + timeout
         for node in self._nodes:
             if node.proc is None:
                 continue

@@ -11,9 +11,11 @@ mid-group falls back without losing count of what ran compiled.
 
 The file also covers two service-level guards that ride along: a group
 that raises resolves its requests instead of killing the worker, and a
-metrics scrape carries the process's CPU and minor-fault gauges.
+metrics scrape carries the process's CPU and minor-fault gauges —
+its pool workers' included.
 """
 
+import resource
 import threading
 import time
 import tracemalloc
@@ -22,6 +24,7 @@ import pytest
 
 from repro.lower.engine import CompiledEngine
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import new_trace_id
 from repro.service import ServiceConfig, StencilService
 from repro.service import executor as executor_mod
 from repro.service.executor import (
@@ -297,3 +300,36 @@ class TestProcessUsageGauges:
             >= first.summary["gauges"]["process_minor_faults"]
         )
         assert second.summary["gauges"][keys[0]] > 0
+
+    def test_process_mode_counts_its_workers(self):
+        """Pool workers run the kernels: their CPU lands in the node's
+        gauges, on top of the node's own ``RUSAGE_SELF``."""
+        registry = MetricsRegistry()
+        # One worker: execute wall time is then close to its CPU time
+        # even on a two-core host.
+        with StencilService(
+            ServiceConfig(workers=1, worker_mode="process"),
+            registry=registry,
+        ) as svc:
+            # A trace id makes the worker ship its execute span home.
+            slots = [
+                svc.submit(
+                    {
+                        "proto": 1,
+                        "benchmark": "SOBEL",
+                        "grid": [256, 256],
+                        "seed": k,
+                        "trace_id": new_trace_id(),
+                    }
+                )
+                for k in range(8)
+            ]
+            assert all(slot.result(120).ok for slot in slots)
+            scrape = svc.handle({"control": "metrics"}, wait_timeout=30)
+            own_user = resource.getrusage(resource.RUSAGE_SELF).ru_utime
+        user = scrape.summary["gauges"]['process_cpu_seconds{mode="user"}']
+        execute_s = registry.snapshot()["histograms"][
+            'service_stage_ms{stage="worker_execute"}'
+        ]["sum"] / 1e3
+        assert execute_s > 0
+        assert user - own_user >= 0.5 * execute_s, (user, own_user)

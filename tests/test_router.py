@@ -3,7 +3,7 @@
 Unit tests cover :func:`rendezvous_order` (deterministic permutation,
 minimal ownership movement when the cluster grows).  The integration
 tests spawn *real* ``repro serve`` subprocess nodes through
-:class:`Router` and pin the three headline guarantees:
+:class:`Router` and pin the headline guarantees:
 
 * **global single-flight** — a burst of concurrent identical requests
   across 2 nodes produces exactly one cold compile, proven by summing
@@ -13,14 +13,19 @@ tests spawn *real* ``repro serve`` subprocess nodes through
   after dispatch, mid-request; every request still gets a response
   (zero dropped), survivors complete on the sibling from the shared
   disk cache tier, and the whole campaign replays deterministically;
+* **concurrent start** — every node is launched before any
+  announcement is read, silent children share one deadline, and a
+  respawn that never announces stalls no other node's supervision;
 * **protocol** — every response the router returns parses as a
   versioned :class:`Response`, and an unversioned dict request is
   answered ``invalid`` / ``unsupported_proto`` without reaching a node.
 """
 
 import collections
+import io
 import json
 import os
+import sys
 import threading
 import time
 
@@ -31,6 +36,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import format_fabric_summary, format_service_metrics
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.fingerprint import CompileOptions, fingerprint
+from repro.service import router as router_module
 from repro.service.proto import Response
 from repro.service.router import (
     NodeConfig,
@@ -444,6 +450,11 @@ class TestRouterFailover:
         assert chaos_kills >= expected_kills
         assert failovers >= 1
         assert restarts >= 1
+        # Every start and every respawn is timed exactly once.
+        node_start = registry.snapshot()["histograms"][
+            'router_stage_ms{stage="node_start"}'
+        ]
+        assert node_start["count"] == 2 + restarts
 
 
 def _dispatch_total(registry):
@@ -683,6 +694,7 @@ class TestTcpTransport:
         for node_status in status.values():
             assert node_status["reachable"] is True
             assert node_status["last_seen"] is not None
+            assert node_status["start_ms"] > 0
         assert set(fabric["node_status"]) == {"0", "1"}
         # Handshakes succeeded (counted node-side per connection).
         assert counters["service_connections_total"] >= 2
@@ -1083,3 +1095,170 @@ class TestRemoteNodes:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait(timeout=10)
+
+
+class _FakeStdout:
+    """A child's stdout that logs each read; ``line`` is its one
+    announcement, or None for a child that never speaks (each read
+    then blocks until the child is killed)."""
+
+    def __init__(self, idx, log, line):
+        self.idx = idx
+        self.log = log
+        self.lines = [line] if line else []
+        self.killed = threading.Event()
+
+    def readline(self):
+        self.log.append(("read", self.idx))
+        if self.lines:
+            return self.lines.pop()
+        self.killed.wait(30)
+        return ""
+
+
+class _FakeProc:
+    def __init__(self, idx, log, line):
+        self.stdin = io.StringIO()
+        self.stdout = _FakeStdout(idx, log, line)
+        self.returncode = None
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        if self.returncode is None:
+            self.returncode = 0
+        return self.returncode
+
+    def kill(self):
+        self.returncode = -9
+        self.stdout.killed.set()
+
+
+class TestConcurrentStart:
+    """Nodes start at once: launch everything, then take each
+    announcement as it arrives, under one deadline."""
+
+    def _fake_fabric(self, monkeypatch, line):
+        log, procs = [], []
+
+        def popen(argv, **kwargs):
+            proc = _FakeProc(len(procs), log, line)
+            log.append(("popen", len(procs)))
+            procs.append(proc)
+            return proc
+
+        def connect(router, node):
+            log.append(("connect", node.idx))
+            return False
+
+        monkeypatch.setattr(router_module.subprocess, "Popen", popen)
+        monkeypatch.setattr(Router, "_connect", connect)
+        router = Router(
+            RouterConfig(nodes=3, monitor_interval_s=60.0),
+            registry=MetricsRegistry(),
+        )
+        return router, log, procs
+
+    def test_every_node_is_launched_before_any_announcement_is_read(
+        self, monkeypatch
+    ):
+        router, log, _ = self._fake_fabric(
+            monkeypatch, json.dumps({"listening": "127.0.0.1:9"}) + "\n"
+        )
+        router.start()
+        router.close(timeout=5)
+        kinds = [kind for kind, _ in log]
+        first_read = kinds.index("read")
+        assert kinds[:first_read] == ["popen"] * 3
+        assert sorted(i for kind, i in log if kind == "connect") == [
+            0, 1, 2,
+        ]
+
+    def test_silent_children_share_one_deadline(self, monkeypatch):
+        monkeypatch.setattr(router_module, "ANNOUNCE_TIMEOUT_S", 0.5)
+        router, log, procs = self._fake_fabric(monkeypatch, None)
+        started = time.monotonic()
+        router.start()
+        elapsed = time.monotonic() - started
+        router.close(timeout=5)
+        # One 0.5 s deadline for three silent children, not three.
+        assert 0.5 <= elapsed < 1.2, elapsed
+        assert [proc.returncode for proc in procs] == [-9, -9, -9]
+        assert not any(kind == "connect" for kind, _ in log)
+
+    def test_top_shows_each_nodes_last_start(self):
+        text = format_fabric_summary(
+            [("router", MetricsRegistry().snapshot()), ("node-0", None)],
+            {"node-0": {"reachable": False, "start_ms": 412.34}},
+        )
+        header = next(
+            line for line in text.splitlines() if line.startswith("source")
+        )
+        assert "start_ms" in header
+        assert "412.3" in text
+
+
+@pytest.mark.slow
+class TestSilentRespawn:
+    def test_silent_respawn_never_stalls_supervision(
+        self, tmp_path, monkeypatch
+    ):
+        """A respawned child that never announces is killed at the
+        deadline and relaunched with backoff, while the sibling keeps
+        answering requests and heartbeats."""
+        monkeypatch.setattr(router_module, "ANNOUNCE_TIMEOUT_S", 1.0)
+        registry = MetricsRegistry()
+        config = _tcp_config(
+            tmp_path,
+            heartbeat_interval_s=0.1,
+            reconnect_base_s=0.1,
+            reconnect_cap_s=0.2,
+        )
+        request = {"proto": 1, "benchmark": "SOBEL", "grid": [10, 12]}
+
+        def pongs():
+            histograms = registry.snapshot()["histograms"]
+            rtt = histograms.get("router_heartbeat_rtt_ms", {})
+            return rtt.get("count", 0)
+
+        def counter(name, node):
+            counters = registry.snapshot()["counters"]
+            return counters.get(f'{name}{{node="{node}"}}', 0)
+
+        router = Router(config, registry=registry).start()
+        try:
+            assert router.handle(dict(request, seed=0), 120).ok
+            silent = router._nodes[1]
+            silent._argv = lambda: [
+                sys.executable, "-c", "import time; time.sleep(60)",
+            ]
+            silent.kill()
+            before = pongs()
+            procs, up = [], []
+            window_end = time.monotonic() + 3.0
+            seed = 1
+            while time.monotonic() < window_end:
+                if silent.proc is not None and not any(
+                    p is silent.proc for p in procs
+                ):
+                    procs.append(silent.proc)
+                up.append(
+                    registry.snapshot()["gauges"]['router_node_up{node="0"}']
+                )
+                assert router.handle(dict(request, seed=seed), 30).ok
+                seed += 1
+                time.sleep(0.05)
+            heartbeats = pongs() - before
+            restarts = counter("router_node_restarts_total", 1)
+        finally:
+            assert router.close(timeout=30)
+        assert set(up) == {1}
+        assert heartbeats >= 10, heartbeats
+        # Killed at the 1 s deadline and relaunched, more than once.
+        assert restarts >= 2, restarts
+        assert len(procs) >= 3, len(procs)
+        assert all(p.poll() is not None for p in procs)
+        assert procs[1].returncode == -9
+        # A node that is still starting is never dialled.
+        assert counter("router_connect_failures_total", 1) == 0
