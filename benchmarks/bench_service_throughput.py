@@ -12,6 +12,7 @@ throughput numbers.
 import gc
 import json
 import os
+import statistics
 import tempfile
 import threading
 import time
@@ -44,8 +45,12 @@ WARM_BACKEND_SPEC = ("RICIAN", (224, 256))
 WARM_BACKEND_SEEDS = 2
 WARM_BACKEND_CLIENTS = 4
 WARM_BACKEND_REQUESTS = {"interpreted": 48, "compiled": 480}
+#: Interleaved timed pairs (one interpreted pass, one compiled pass)
+#: of the backend comparison.
+WARM_BACKEND_PAIRS = 5
 #: The compiled backend's contract from the lowering PR: >= 10x warm
-#: requests-per-second over the interpreted path on the spec above.
+#: requests-per-second over the interpreted path on the spec above,
+#: as the median compiled/interpreted ratio over the interleaved pairs.
 MIN_COMPILED_SPEEDUP = 10.0
 #: The compiled side's own guard, which a faster interpreted path
 #: cannot loosen: the service's best compiled warm rps must reach this
@@ -95,78 +100,116 @@ def _warm_backend_requests(n):
     ]
 
 
-def _warm_backend_pass(backend, passes=3):
-    """Warm same-fingerprint throughput of one execution backend.
+class _WarmBackend:
+    """One execution backend's warm service, timed pass by pass.
 
     A single worker keeps the measurement clean on small hosts (no
-    GIL convoy between workers); the warm-up pass compiles the plan,
-    lowers it (compiled backend) and pins the per-seed checksums that
-    every timed reply must then reproduce — the bench doubles as a
-    backend differential test.  Concurrent submitter threads keep the
-    worker's pipeline full (a submit-wait-submit loop would leave it
-    idle between waves); three timed passes, best one wins (absorbs a
-    stray GC pause or scheduler hiccup).
+    GIL convoy between workers); the warm-up compiles the plan, lowers
+    it (compiled backend) and pins the per-seed checksums that every
+    timed reply must then reproduce — the bench doubles as a backend
+    differential test.  Concurrent submitter threads keep the worker's
+    pipeline full (a submit-wait-submit loop would leave it idle
+    between waves).
     """
-    config = ServiceConfig(
-        workers=1, max_queue=64, max_batch=16, backend=backend
-    )
-    n = WARM_BACKEND_REQUESTS[backend]
-    checksums = {}
-    best_rps = 0.0
-    wall_s = None
-    with StencilService(config, registry=MetricsRegistry()) as svc:
-        for req in _warm_backend_requests(WARM_BACKEND_SEEDS):
-            reply = svc.handle(req, wait_timeout=300.0)
-            assert reply.status == "ok"
-            checksums[req["seed"]] = reply.checksum
 
+    def __init__(self, backend):
+        self.backend = backend
+        self.n = WARM_BACKEND_REQUESTS[backend]
+        self.svc = StencilService(
+            ServiceConfig(
+                workers=1, max_queue=64, max_batch=16, backend=backend
+            ),
+            registry=MetricsRegistry(),
+        ).start()
+        self.checksums = {}
+        for req in _warm_backend_requests(WARM_BACKEND_SEEDS):
+            reply = self.svc.handle(req, wait_timeout=300.0)
+            assert reply.status == "ok"
+            self.checksums[req["seed"]] = reply.checksum
+        self.rps = []
+        self.wall_s = None
+
+    def timed_pass(self):
+        """One timed pass of ``n`` requests; returns its rps."""
         failures = []
 
         def client(requests):
             for req in requests:
-                reply = svc.submit(req).result(300.0)
+                reply = self.svc.submit(req).result(300.0)
                 if (
                     reply.status != "ok"
-                    or reply.checksum != checksums[req["seed"]]
+                    or reply.checksum != self.checksums[req["seed"]]
                 ):
                     failures.append((req["id"], reply.to_json()))
                     return
 
-        for _ in range(passes):
-            requests = _warm_backend_requests(n)
-            shard = (n + WARM_BACKEND_CLIENTS - 1) // WARM_BACKEND_CLIENTS
-            gc.collect()  # start each timed pass from a clean heap
-            threads = [
-                threading.Thread(
-                    target=client,
-                    args=(requests[k * shard:(k + 1) * shard],),
-                )
-                for k in range(WARM_BACKEND_CLIENTS)
-            ]
-            started = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall_s = time.perf_counter() - started
-            assert not failures, failures[:2]
-            best_rps = max(best_rps, n / wall_s)
-    record = {
-        "backend": backend,
-        "requests": n,
-        "workers": 1,
-        "clients": WARM_BACKEND_CLIENTS,
-        "wall_s": round(wall_s, 6),
-        "warm_rps": round(best_rps, 2),
-        "checksums": checksums,
+        requests = _warm_backend_requests(self.n)
+        shard = (self.n + WARM_BACKEND_CLIENTS - 1) // WARM_BACKEND_CLIENTS
+        gc.collect()  # start each timed pass from a clean heap
+        threads = [
+            threading.Thread(
+                target=client,
+                args=(requests[k * shard:(k + 1) * shard],),
+            )
+            for k in range(WARM_BACKEND_CLIENTS)
+        ]
+        started = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        self.wall_s = time.perf_counter() - started
+        assert not failures, failures[:2]
+        self.rps.append(self.n / self.wall_s)
+        return self.rps[-1]
+
+    def close(self):
+        self.svc.shutdown()
+
+    def record(self):
+        return {
+            "backend": self.backend,
+            "requests": self.n,
+            "workers": 1,
+            "clients": WARM_BACKEND_CLIENTS,
+            "wall_s": round(self.wall_s, 6),
+            "warm_rps": round(max(self.rps), 2),
+            "pass_rps": [round(rps, 2) for rps in self.rps],
+            "checksums": self.checksums,
+        }
+
+
+def _warm_backend_passes(pairs=WARM_BACKEND_PAIRS):
+    """Both backends' warm records and the compiled/interpreted rps
+    ratio of each interleaved pair of timed passes.
+
+    The two services run side by side and their passes alternate
+    (which backend goes first alternates too), so both sides of a
+    ratio see the same host phase; a slow phase minutes apart cannot
+    land in it.
+    """
+    sides = {
+        name: _WarmBackend(name) for name in ("interpreted", "compiled")
     }
-    if backend == "compiled":
-        # After the service is gone, so the timer disturbs no pass.
-        work_rps = _compiled_work_timer(n)
-        work = max(work_rps() for _ in range(passes))
-        record["work_rps"] = round(work, 2)
-        record["work_share"] = round(best_rps / work, 3)
-    return record
+    ratios = []
+    try:
+        for k in range(pairs):
+            order = ["interpreted", "compiled"]
+            if k % 2:
+                order.reverse()
+            rps = {name: sides[name].timed_pass() for name in order}
+            ratios.append(rps["compiled"] / rps["interpreted"])
+    finally:
+        for side in sides.values():
+            side.close()
+    records = {name: side.record() for name, side in sides.items()}
+    # After the services are gone, so the timer disturbs no pass.
+    compiled = records["compiled"]
+    work_rps = _compiled_work_timer(compiled["requests"])
+    work = max(work_rps() for _ in range(3))
+    compiled["work_rps"] = round(work, 2)
+    compiled["work_share"] = round(compiled["warm_rps"] / work, 3)
+    return records, ratios
 
 
 def _compiled_work_timer(n):
@@ -760,10 +803,7 @@ def bench_service_throughput():
     # Backend comparison first, while the process heap is still clean:
     # the mixed-load and cold-compile sections below churn enough
     # garbage to shave ~10-15% off the compiled pass if it runs last.
-    backend_passes = {
-        name: _warm_backend_pass(name)
-        for name in ("interpreted", "compiled")
-    }
+    backend_passes, pair_speedups = _warm_backend_passes()
     # Bit-identity across backends is part of the comparison: the same
     # seeds must produce the same checksums before the speedup means
     # anything.
@@ -773,11 +813,7 @@ def bench_service_throughput():
     )
     backend_checksums = backend_passes["interpreted"].pop("checksums")
     backend_passes["compiled"].pop("checksums")
-    compiled_speedup = round(
-        backend_passes["compiled"]["warm_rps"]
-        / backend_passes["interpreted"]["warm_rps"],
-        2,
-    )
+    compiled_speedup = round(statistics.median(pair_speedups), 2)
     converter_passes, converter_speedups = _converter_comparison()
     coverage = _compiled_coverage_pass()
     iterate_record = _iterate_vs_roundtrips_pass()
@@ -866,7 +902,9 @@ def bench_service_throughput():
             "interpreted": backend_passes["interpreted"],
             "compiled": backend_passes["compiled"],
             "checksums": backend_checksums,
+            # The gated figure: the median of the interleaved pairs.
             "speedup": compiled_speedup,
+            "pair_speedups": [round(r, 2) for r in pair_speedups],
         },
         # Per-converter warm comparison under backend="compiled": the
         # generated-C kernels vs the vectorized NumPy replay, same
@@ -883,7 +921,8 @@ def bench_service_throughput():
     assert record["cache"]["miss"] == len(SERVICE_GRIDS)
     assert record["disk_restart"]["promotions"] == len(SERVICE_GRIDS)
     assert compiled_speedup >= MIN_COMPILED_SPEEDUP, (
-        f"compiled backend warm speedup {compiled_speedup}x is below "
+        f"compiled backend median pair speedup {compiled_speedup}x "
+        f"is below "
         f"the {MIN_COMPILED_SPEEDUP}x contract: {record['backends']}"
     )
     work_share = backend_passes["compiled"]["work_share"]

@@ -19,6 +19,8 @@ no-op when none is installed.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 import re
@@ -40,8 +42,13 @@ Labels = Tuple[Tuple[str, str], ...]
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
+@functools.lru_cache(maxsize=1024)
 def _sanitize(name: str) -> str:
-    """A valid Prometheus metric name (invalid chars become ``_``)."""
+    """A valid Prometheus metric name (invalid chars become ``_``).
+
+    Memoized: names are call-site constants, so the LRU bound (1024)
+    is never reached in practice and the regex runs once per name.
+    """
     name = _NAME_RE.sub("_", name)
     if not name or name[0].isdigit():
         name = "_" + name
@@ -139,11 +146,11 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.sum += value
         self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # The first bucket whose bound is >= value (NaN: the +Inf one).
+        if value == value:
+            self.counts[bisect.bisect_left(self.buckets, value)] += 1
+        else:
+            self.counts[-1] += 1
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending at +Inf."""
@@ -229,16 +236,49 @@ class MetricsRegistry:
     largest-valued observations with their attached labels, so a
     fabric summary can show *which* requests were the slow ones, not
     just that a p99 exists.
+
+    Lookups are memoized: :meth:`counter`, :meth:`gauge` and
+    :meth:`histogram` key the series they resolve on the call's own
+    ``(kind, name, tuple(labels.items()))`` (label values that are all
+    ``str``; other calls are not memoized), so a repeated call skips
+    name sanitizing and label sorting (the slow path, :meth:`_get`).
+    The memo holds at most :attr:`MEMO_SPELLINGS` entries per series
+    in the registry — one per distinct way call sites spell a series,
+    which is one in practice, since no label carries a per-request
+    value — and past that bound a call takes the slow path uncached.
     """
 
     EXEMPLAR_K = 8
 
+    #: Memo entries allowed per registered series (see class doc).
+    MEMO_SPELLINGS = 4
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, str, Labels], object] = {}
+        self._memo: Dict[tuple, object] = {}
         self._exemplars: Dict[str, List[Dict[str, object]]] = {}
 
     # -- get-or-create -------------------------------------------------
+    def _lookup(self, kind, cls, name, labels, **kwargs):
+        """The series for one call, through the memo."""
+        key = (kind, name, tuple(labels.items()) if labels else ())
+        try:
+            metric = self._memo.get(key)
+        except TypeError:  # an unhashable label value: never memoized
+            return self._get(kind, cls, name, self._labels(labels), **kwargs)
+        if metric is None:
+            metric = self._get(
+                kind, cls, name, self._labels(labels), **kwargs
+            )
+            # Only str values are memoized: 1, 1.0 and True hash alike
+            # but name different series.
+            if len(self._memo) < self.MEMO_SPELLINGS * len(
+                self._metrics
+            ) and all(type(v) is str for _, v in key[2]):
+                self._memo[key] = metric
+        return metric
+
     def _get(self, kind, cls, name, labels, **kwargs):
         name = _sanitize(name)
         key = (kind, name, labels)
@@ -258,12 +298,12 @@ class MetricsRegistry:
     def counter(
         self, name: str, labels: Optional[Dict[str, str]] = None
     ) -> Counter:
-        return self._get("counter", Counter, name, self._labels(labels))
+        return self._lookup("counter", Counter, name, labels)
 
     def gauge(
         self, name: str, labels: Optional[Dict[str, str]] = None
     ) -> Gauge:
-        return self._get("gauge", Gauge, name, self._labels(labels))
+        return self._lookup("gauge", Gauge, name, labels)
 
     def histogram(
         self,
@@ -271,12 +311,8 @@ class MetricsRegistry:
         labels: Optional[Dict[str, str]] = None,
         buckets: Optional[Sequence[float]] = None,
     ) -> Histogram:
-        return self._get(
-            "histogram",
-            Histogram,
-            name,
-            self._labels(labels),
-            buckets=buckets,
+        return self._lookup(
+            "histogram", Histogram, name, labels, buckets=buckets
         )
 
     def metrics(self) -> List[object]:
@@ -292,14 +328,21 @@ class MetricsRegistry:
         labels: Optional[Dict[str, str]] = None,
     ) -> None:
         """Keep this observation if it is among the K largest for
-        ``name`` (e.g. the slowest requests seen, with their ids)."""
-        entry = {
-            "value": float(value),
-            "labels": {k: str(v) for k, v in (labels or {}).items()},
-        }
+        ``name`` (e.g. the slowest requests seen, with their ids).
+
+        A full store whose smallest kept value is at least ``value``
+        keeps what it has (a tie goes to the earlier observation), so
+        most calls return before building an entry.
+        """
+        value = float(value)
         with self._lock:
             store = self._exemplars.setdefault(_sanitize(name), [])
-            store.append(entry)
+            if len(store) >= self.EXEMPLAR_K and value <= store[-1]["value"]:
+                return
+            store.append({
+                "value": value,
+                "labels": {k: str(v) for k, v in (labels or {}).items()},
+            })
             store.sort(key=lambda e: -e["value"])
             del store[self.EXEMPLAR_K:]
 

@@ -49,6 +49,7 @@ import functools
 import itertools
 import json
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -71,14 +72,27 @@ __all__ = [
 ]
 
 
+#: The per-process source of trace and span ids: seeded from
+#: ``os.urandom`` once, and again in every forked child (so a child's
+#: ids never repeat its parent's), so drawing an id makes no syscall.
+_ids = random.Random(os.urandom(32))
+
+
+def _reseed_ids() -> None:
+    _ids.seed(os.urandom(32))
+
+
+os.register_at_fork(after_in_child=_reseed_ids)
+
+
 def new_trace_id() -> str:
     """A fresh 128-bit trace id (32 lowercase hex chars)."""
-    return os.urandom(16).hex()
+    return f"{_ids.getrandbits(128):032x}"
 
 
 def new_span_id() -> str:
     """A fresh 64-bit span id (16 lowercase hex chars)."""
-    return os.urandom(8).hex()
+    return f"{_ids.getrandbits(64):016x}"
 
 
 @dataclass(frozen=True)

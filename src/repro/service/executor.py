@@ -519,7 +519,13 @@ def _finish_item(stages, plans, seed: int, produce, validate: bool):
         item = ItemResult(
             results=digests,
             n_outputs=int(final.size),
-            mean=float(np.mean(final)) if final.size else 0.0,
+            # np.mean's own pairwise sum and division, without its
+            # dispatch overhead: the same float, bit for bit.
+            mean=(
+                float(np.add.reduce(final, axis=None)) / final.size
+                if final.size
+                else 0.0
+            ),
             compiled=reference is None,
         )
         del final
@@ -869,15 +875,16 @@ class ExecutorBase:
         if not item.slot.claim(response):
             return
         try:
-            record_span(
-                "service.request",
-                item.admitted_ns,
-                end_ns,
-                trace_id=item.trace_id,
-                parent_span_id=item.parent_span_id,
-                request=item.request_id,
-                status=response.status,
-            )
+            if get_tracer() is not None:
+                record_span(
+                    "service.request",
+                    item.admitted_ns,
+                    end_ns,
+                    trace_id=item.trace_id,
+                    parent_span_id=item.parent_span_id,
+                    request=item.request_id,
+                    status=response.status,
+                )
             observe_stage(
                 self.registry,
                 "node_total",

@@ -48,7 +48,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import get_tracer, span, trace_context
+from ..obs.tracing import get_tracer, new_span_id, span, trace_context
 from ..lower.engine import CompiledEngine, LoweringConfig
 from ..stencil.spec import StencilSpec
 from .chaos import ChaosConfig, ChaosInjector
@@ -236,7 +236,7 @@ class _WorkerSpans:
                 "pid": os.getpid(),
                 "tid": threading.get_ident() & 0xFFFFFFFF,
                 "trace_id": trace_id,
-                "span_id": os.urandom(8).hex(),
+                "span_id": new_span_id(),
                 "parent_span_id": parent_span_id,
                 "args": args,
             }

@@ -217,7 +217,7 @@ def _parse_grid(value: Any) -> Optional[Tuple[int, ...]]:
         raise ProtoError(
             f"grid must be a list of integers or 'HxW': {value!r}"
         )
-    if not parts or any(p <= 0 for p in parts):
+    if not parts or min(parts) <= 0:
         raise ProtoError(f"grid extents must be positive: {value!r}")
     return parts
 
@@ -262,9 +262,10 @@ class Request:
     )
 
     def __post_init__(self) -> None:
-        forms = sum(
-            value is not None
-            for value in (self.benchmark, self.spec, self.workload)
+        forms = (
+            (self.benchmark is not None)
+            + (self.spec is not None)
+            + (self.workload is not None)
         )
         if forms != 1:
             raise ProtoError(
@@ -510,23 +511,9 @@ class Response:
             "id": self.id,
             "status": self.status,
         }
-        for name in (
-            "benchmark",
-            "fingerprint",
-            "latency_ms",
-            "attempts",
-            "cache",
-            "n_outputs",
-            "mean",
-            "checksum",
-            "validated",
-            "summary",
-            "stages",
-            "retry_after_s",
-            "node",
-            "trace_id",
-        ):
-            value = getattr(self, name)
+        values = self.__dict__
+        for name in _RESPONSE_OPTIONAL:
+            value = values[name]
             if value is not None:
                 out[name] = value
         if self.error is not None:
@@ -546,9 +533,8 @@ class Response:
         _check_proto_version(data)
         if "status" not in data:
             raise ProtoError("response is missing 'status'")
-        known = {f.name for f in fields(cls)}
         kwargs: Dict[str, Any] = {
-            k: v for k, v in data.items() if k in known
+            k: v for k, v in data.items() if k in _RESPONSE_FIELDS
         }
         if "error" in data and data["error"] is not None:
             kwargs["error"] = ErrorInfo.from_json(data["error"])
@@ -560,6 +546,18 @@ class Response:
             return cls(**kwargs)
         except TypeError as exc:
             raise ProtoError(str(exc)) from exc
+
+
+#: The wire keys :meth:`Response.from_json` accepts.
+_RESPONSE_FIELDS = frozenset(f.name for f in fields(Response))
+
+#: The fields :meth:`Response.to_json` writes when set, in wire order
+#: (after ``proto``/``id``/``status``, before ``error``).
+_RESPONSE_OPTIONAL = tuple(
+    f.name
+    for f in fields(Response)
+    if f.name not in ("id", "status", "proto", "error")
+)
 
 
 def error_response(

@@ -64,6 +64,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -73,11 +74,12 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.tracing import (
+    get_tracer,
     new_span_id,
     new_trace_id,
     record_span,
@@ -124,12 +126,16 @@ WARM_FINGERPRINTS = 4096
 ANNOUNCE_TIMEOUT_S = 30.0
 
 
+@functools.lru_cache(maxsize=WARM_FINGERPRINTS)
 def rendezvous_order(fp: str, nodes: int) -> Tuple[int, ...]:
     """All node indices by descending highest-random-weight score.
 
     ``order[0]`` is the fingerprint's home node; ``order[1:]`` is its
     failover sequence.  Pure function of ``(fp, nodes)``, so every
-    router instance agrees on placement without coordination.
+    router instance agrees on placement without coordination — and
+    memoized in an LRU bounded like the warm set
+    (:data:`WARM_FINGERPRINTS` entries), so a warm request hashes
+    nothing here.
     """
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
@@ -279,6 +285,10 @@ class _Pending:
     internal_id: str  # the id on the node wire ("rt-N")
     client_id: Optional[str]
     request: Request
+    #: ``request`` encoded once, with its trace id: each dispatch
+    #: attempt writes a copy with that attempt's ``id`` and
+    #: ``parent_span_id``.
+    wire: dict
     fingerprint: str
     slot: ResultSlot
     deadline: float  # monotonic
@@ -809,10 +819,13 @@ class Router:
     def _mark_warm(self, fp: str) -> None:
         """Remember that some node answered ``fp`` ok (bounded LRU)."""
         with self._lock:
-            self._warm[fp] = None
-            self._warm.move_to_end(fp)
-            if len(self._warm) > WARM_FINGERPRINTS:
-                self._warm.popitem(last=False)
+            self._mark_warm_locked(fp)
+
+    def _mark_warm_locked(self, fp: str) -> None:
+        self._warm[fp] = None
+        self._warm.move_to_end(fp)
+        if len(self._warm) > WARM_FINGERPRINTS:
+            self._warm.popitem(last=False)
 
     def _unpin(self, fp: str) -> None:
         owner = self._owners.get(fp)
@@ -832,12 +845,16 @@ class Router:
         request.  Returns None when someone else already took it.
         """
         with self._lock:
-            entry = self._pending.pop(internal_id, None)
-            if entry is not None:
-                self._load[entry.node] -= 1
-                self._unpin(entry.fingerprint)
-            if not self._pending:
-                self._drained.notify_all()
+            return self._take_locked(internal_id)
+
+    def _take_locked(self, internal_id: str) -> Optional[_Pending]:
+        """:meth:`_take` for a caller that holds the lock."""
+        entry = self._pending.pop(internal_id, None)
+        if entry is not None:
+            self._load[entry.node] -= 1
+            self._unpin(entry.fingerprint)
+        if not self._pending:
+            self._drained.notify_all()
         return entry
 
     def _take_if(
@@ -873,21 +890,23 @@ class Router:
         if response.trace_id is None:
             response.trace_id = entry.trace_id
         end_ns = time.perf_counter_ns()
+        traced = get_tracer() is not None
         if entry.start_ns:
             # The request's full router residency — the root span of
             # the distributed trace — plus the node round trip (which
             # is where almost all of the wall-clock goes, so stage
             # coverage stays honest).
-            record_span(
-                "router.request",
-                entry.start_ns,
-                end_ns,
-                trace_id=entry.trace_id,
-                span_id=entry.root_span_id,
-                request=entry.client_id or entry.internal_id,
-                fingerprint=entry.fingerprint[:12],
-                status=response.status,
-            )
+            if traced:
+                record_span(
+                    "router.request",
+                    entry.start_ns,
+                    end_ns,
+                    trace_id=entry.trace_id,
+                    span_id=entry.root_span_id,
+                    request=entry.client_id or entry.internal_id,
+                    fingerprint=entry.fingerprint[:12],
+                    status=response.status,
+                )
             total_ms = (end_ns - entry.start_ns) / 1e6
             observe_stage(
                 self.metrics, "total", total_ms, name="router_stage_ms"
@@ -908,15 +927,16 @@ class Router:
                 },
             )
         if entry.sent_ns:
-            record_span(
-                "router.node_wait",
-                entry.sent_ns,
-                end_ns,
-                trace_id=entry.trace_id,
-                span_id=entry.node_wait_span_id,
-                parent_span_id=entry.root_span_id,
-                node=entry.node,
-            )
+            if traced:
+                record_span(
+                    "router.node_wait",
+                    entry.sent_ns,
+                    end_ns,
+                    trace_id=entry.trace_id,
+                    span_id=entry.node_wait_span_id,
+                    parent_span_id=entry.root_span_id,
+                    node=entry.node,
+                )
             observe_stage(
                 self.metrics,
                 "node_wait",
@@ -999,7 +1019,8 @@ class Router:
         start_ns = time.perf_counter_ns()
         trace_id = req.trace_id or new_trace_id()
         root_span_id = new_span_id()
-        req = req.with_trace(trace_id, root_span_id)
+        wire = req.to_json()
+        wire["trace_id"] = trace_id
         with self._lock:
             self._seq += 1
             internal_id = f"rt-{self._seq}"
@@ -1007,6 +1028,7 @@ class Router:
             internal_id=internal_id,
             client_id=req.id,
             request=req,
+            wire=wire,
             fingerprint=fp,
             slot=ResultSlot(),
             deadline=time.monotonic() + timeout_s,
@@ -1068,11 +1090,9 @@ class Router:
                 time.sleep(self.config.monitor_interval_s)
                 continue
             entry.node_wait_span_id = new_span_id()
-            wire = replace(
-                entry.request,
-                id=entry.internal_id,
-                parent_span_id=entry.node_wait_span_id,
-            ).to_json()
+            wire = dict(entry.wire)
+            wire["id"] = entry.internal_id
+            wire["parent_span_id"] = entry.node_wait_span_id
             written_attempts = entry.attempts
             try:
                 node.send(wire, entry.generation)
@@ -1212,18 +1232,23 @@ class Router:
         self._on_node_exit(node, generation)
 
     def _on_response(self, node: _Node, response: Response) -> None:
+        wire_id = response.id or ""
+        entry = None
+        # One lock round: match a control, else take the entry and
+        # (on ok) warm its fingerprint.
         with self._lock:
-            control = self._controls.pop(response.id or "", None)
+            control = self._controls.pop(wire_id, None)
+            if control is None:
+                entry = self._take_locked(wire_id)
+                if entry is not None and response.ok:
+                    self._mark_warm_locked(entry.fingerprint)
         if control is not None:
             response.node = node.idx
             control[2].resolve(response)
             return
-        entry = self._take(response.id or "")
         if entry is None:
             self._count("router_unmatched_responses_total")
             return
-        if response.ok:
-            self._mark_warm(entry.fingerprint)
         response.node = node.idx
         self._resolve_entry(entry, response)
 
@@ -1457,8 +1482,11 @@ class Router:
                 scope=f"hb-{node.idx}-g{node.generation}"
             )
             try:
-                if conn is not None:
-                    conn.send(ping)
+                # A write in progress (a client's request, say) is
+                # never waited for: that would stall every node's
+                # supervision behind one slow peer.  Skip this tick.
+                if conn is not None and not conn.send(ping, wait=False):
+                    node.heartbeat.cancel(ping["id"])
             except OSError:
                 node.break_link()
                 return

@@ -54,14 +54,23 @@ class ResultSlot:
     :meth:`resolve` is :meth:`claim` followed by :meth:`publish`; a
     resolver with bookkeeping that every observer must see (the
     executor's per-request metrics) claims, records, then publishes.
+
+    Waiters block on one lock that is held from construction until
+    publication, so a slot costs two plain locks, not an
+    :class:`threading.Event` (a condition variable, plus a fresh lock
+    per wait).
     """
 
     __slots__ = (
-        "_event", "_response", "_on_resolve", "_lock", "_callbacks"
+        "_gate", "_response", "_on_resolve", "_lock", "_callbacks",
+        "_published",
     )
 
     def __init__(self, on_resolve=None) -> None:
-        self._event = threading.Event()
+        #: Held until :meth:`publish`; a waiter acquires and releases it.
+        self._gate = threading.Lock()
+        self._gate.acquire()
+        self._published = False
         #: The claimed response; None until some resolver wins.
         self._response: Optional[Response] = None
         self._on_resolve = on_resolve
@@ -101,7 +110,8 @@ class ResultSlot:
         if callbacks is None:
             return
         assert self._response is not None, "publish() before claim()"
-        self._event.set()
+        self._published = True
+        self._gate.release()
         for fn in callbacks:
             self._run_callback(fn)
         if self._on_resolve is not None:
@@ -127,11 +137,15 @@ class ResultSlot:
             _log.exception("ResultSlot done callback %r raised", fn)
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._published
 
     def result(self, timeout: Optional[float] = None) -> Response:
-        if not self._event.wait(timeout):
-            raise TimeoutError("no response within the wait timeout")
+        if not self._published:
+            if not self._gate.acquire(
+                timeout=-1 if timeout is None else max(0.0, timeout)
+            ):
+                raise TimeoutError("no response within the wait timeout")
+            self._gate.release()  # let the next waiter through
         assert self._response is not None
         return self._response
 
@@ -183,7 +197,14 @@ class WorkItem:
 
 
 class Scheduler:
-    """Bounded FIFO of :class:`WorkItem` with drain accounting."""
+    """Bounded FIFO of :class:`WorkItem` with drain accounting.
+
+    Both the queue and its bound are :class:`queue.SimpleQueue`
+    objects, whose put and (timed) get run in C: ``_queue`` holds the
+    items, ``_free`` one token per free place.  Admission takes a
+    token (waiting for one if asked to), a consumer returns one per
+    item it takes.
+    """
 
     def __init__(
         self,
@@ -193,9 +214,10 @@ class Scheduler:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self.max_queue = max_queue
-        self._queue: "queue.Queue[WorkItem]" = queue.Queue(
-            maxsize=max_queue
-        )
+        self._queue: "queue.SimpleQueue[WorkItem]" = queue.SimpleQueue()
+        self._free: "queue.SimpleQueue[None]" = queue.SimpleQueue()
+        for _ in range(max_queue):
+            self._free.put(None)
         self._closed = threading.Event()
         self._unresolved = 0
         self._unresolved_lock = threading.Lock()
@@ -256,9 +278,10 @@ class Scheduler:
         if self._closed.is_set():
             raise QueueClosedError("service is draining")
         try:
-            self._queue.put(item, block=block, timeout=timeout)
-        except queue.Full:
+            self._free.get(block=block, timeout=timeout)
+        except queue.Empty:
             return False
+        self._queue.put(item)
         self._update_depth()
         return True
 
@@ -267,9 +290,10 @@ class Scheduler:
         admitted once, so the drain must still resolve it).  Only fails
         when the queue is physically full."""
         try:
-            self._queue.put_nowait(item)
-        except queue.Full:
+            self._free.get_nowait()
+        except queue.Empty:
             return False
+        self._queue.put(item)
         self._update_depth()
         return True
 
@@ -283,11 +307,13 @@ class Scheduler:
             items.append(self._queue.get(timeout=wait_s))
         except queue.Empty:
             return items
-        while len(items) < max_batch:
+        while len(items) < max_batch and not self._queue.empty():
             try:
                 items.append(self._queue.get_nowait())
-            except queue.Empty:
+            except queue.Empty:  # another worker took it
                 break
+        for _ in items:
+            self._free.put(None)
         self._update_depth()
         return items
 
@@ -329,6 +355,7 @@ class Scheduler:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
+            self._free.put(None)
             if item.slot.resolve(make_response(item)):
                 flushed += 1
         self._update_depth()

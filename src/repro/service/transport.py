@@ -73,11 +73,48 @@ HANDSHAKE_VERSION = 1
 #: How long each side waits for the peer's hello line before giving up.
 HANDSHAKE_TIMEOUT_S = 5.0
 
-#: Longest one server-side write may wait on a peer that stops reading.
-#: Replies are written by the thread that resolves the request (an
-#: executor worker), so a stuck peer must not hold it: past this the
-#: connection is closed and the write counted as failed.
+#: Longest one write may wait on a peer that stops reading, on either
+#: end.  A node's replies are written by the thread that resolves the
+#: request (an executor worker), and the router's requests by the
+#: client thread that submits them, under the connection's write lock;
+#: a stuck peer must hold neither: past this the connection is closed
+#: and the write fails with ``OSError``.
 SEND_TIMEOUT_S = 5.0
+
+#: The one JSON encoding of every line on the wire (``sort_keys``
+#: keeps equal documents byte-identical); built once, not per line.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def encode_line(document: dict) -> bytes:
+    """One wire line: ``json.dumps(document, sort_keys=True)`` + LF."""
+    return (_ENCODER.encode(document) + "\n").encode("utf-8")
+
+
+def _send_bounded(sock: socket.socket, data: bytes) -> None:
+    """``sendall`` bounded by :data:`SEND_TIMEOUT_S` in total.
+
+    Raises ``OSError`` — ``TimeoutError`` once the peer has not
+    drained its buffers in time.  Sends never block, so a reader's
+    blocking reads on the same socket are unaffected.
+    """
+    view = memoryview(data)
+    deadline = None
+    while view:
+        try:
+            sent = sock.send(view, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            if deadline is None:
+                deadline = time.monotonic() + SEND_TIMEOUT_S
+            remaining = deadline - time.monotonic()
+            poller = select.poll()
+            poller.register(sock, select.POLLOUT)
+            if remaining <= 0 or not poller.poll(remaining * 1e3):
+                raise TimeoutError(
+                    f"peer did not read for {SEND_TIMEOUT_S}s"
+                ) from None
+            continue
+        view = view[sent:]
 
 
 class TransportError(RuntimeError):
@@ -221,7 +258,9 @@ class BackoffPolicy:
 class SocketConnection:
     """One live, handshaken JSONL connection.
 
-    ``send`` is locked (whole lines only, never interleaved);
+    ``send`` is locked (whole lines only, never interleaved) and
+    bounded: a peer that stops reading for :data:`SEND_TIMEOUT_S` gets
+    its connection closed and the write raises ``OSError``.
     ``readline`` returns ``""`` at EOF like a file.  ``closed`` flips
     exactly once, whichever side tears the connection down first.
     """
@@ -237,14 +276,25 @@ class SocketConnection:
     def closed(self) -> bool:
         return self._closed
 
-    def send(self, document: dict) -> None:
-        data = (json.dumps(document, sort_keys=True) + "\n").encode(
-            "utf-8"
-        )
-        with self._write_lock:
+    def send(self, document: dict, wait: bool = True) -> bool:
+        """Write one line.  With ``wait=False`` a write lock held by
+        another thread is not waited for: nothing is sent and the
+        result is False."""
+        data = encode_line(document)
+        if not self._write_lock.acquire(wait):
+            return False
+        try:
             if self._closed:
                 raise BrokenPipeError("connection is closed")
-            self._sock.sendall(data)
+            try:
+                _send_bounded(self._sock, data)
+            except OSError:
+                # A partial line may be out: nothing may follow it.
+                self.close()
+                raise
+        finally:
+            self._write_lock.release()
+        return True
 
     def readline(self) -> str:
         try:
@@ -277,11 +327,7 @@ def _exchange_client_hello(
     (``handshake_failed``) instead of a hello — surface its detail.
     """
     sock.settimeout(timeout_s)
-    sock.sendall(
-        (json.dumps(hello.to_json(), sort_keys=True) + "\n").encode(
-            "utf-8"
-        )
-    )
+    sock.sendall(encode_line(hello.to_json()))
     reader = sock.makefile("r", encoding="utf-8", newline="\n")
     try:
         line = reader.readline()
@@ -423,6 +469,11 @@ class Heartbeat:
             "control": "ping",
         }
 
+    def cancel(self, ping_id: str) -> None:
+        """Forget a ping that was never sent; the next is due at once."""
+        self._outstanding.pop(ping_id, None)
+        self._last_sent = -float("inf")
+
     def observe_pong(self, ping_id: str) -> Optional[float]:
         """RTT in seconds, or None for an unknown/duplicate pong."""
         sent = self._outstanding.pop(ping_id, None)
@@ -495,32 +546,6 @@ class _Connection:
         self.half_open = False  # chaos: swallow all further responses
         self.closed = False
         self.reader: Optional[threading.Thread] = None
-
-    def send(self, data: bytes) -> None:
-        """``sendall`` bounded by :data:`SEND_TIMEOUT_S` in total.
-
-        The caller holds :attr:`write_lock`.  Raises ``OSError`` —
-        ``TimeoutError`` once the peer has not drained its buffers in
-        time.  Sends never block, so the reader's blocking reads on
-        the same socket are unaffected.
-        """
-        view = memoryview(data)
-        deadline = None
-        while view:
-            try:
-                sent = self.sock.send(view, socket.MSG_DONTWAIT)
-            except BlockingIOError:
-                if deadline is None:
-                    deadline = time.monotonic() + SEND_TIMEOUT_S
-                remaining = deadline - time.monotonic()
-                poller = select.poll()
-                poller.register(self.sock, select.POLLOUT)
-                if remaining <= 0 or not poller.poll(remaining * 1e3):
-                    raise TimeoutError(
-                        f"peer did not read for {SEND_TIMEOUT_S}s"
-                    ) from None
-                continue
-            view = view[sent:]
 
     def close(self) -> None:
         if self.closed:
@@ -693,14 +718,12 @@ class SocketServer:
             conn.reader.start()
 
     def _write_line(self, conn: _Connection, document: dict) -> bool:
-        data = (
-            json.dumps(document, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        data = encode_line(document)
         with conn.write_lock:
             if conn.closed or conn.half_open:
                 return False
             try:
-                conn.send(data)
+                _send_bounded(conn.sock, data)
             except OSError:
                 # Broken or stuck peer; a partial line may be out, so
                 # nothing else may follow it on this connection.
@@ -806,15 +829,13 @@ class SocketServer:
         assert self._chaos_config is not None
         chunk = max(1, self._chaos_config.trickle_chunk)
         delay = self._chaos_config.trickle_delay_s
-        data = (
-            json.dumps(document, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        data = encode_line(document)
         try:
             with conn.write_lock:
                 for k in range(0, len(data), chunk):
                     if conn.closed or conn.half_open:
                         return
-                    conn.send(data[k:k + chunk])
+                    _send_bounded(conn.sock, data[k:k + chunk])
                     time.sleep(delay)
         except OSError:
             conn.close()

@@ -72,6 +72,77 @@ class TestResolveRace:
         assert scheduler.unresolved == 0
         assert scheduler.wait_drained(timeout=0)
 
+    def test_every_waiter_wakes_with_the_response(self):
+        for k in range(50):
+            slot = ResultSlot()
+            seen = []
+            lock = threading.Lock()
+
+            def wait():
+                response = slot.result(timeout=5.0)
+                with lock:
+                    seen.append(response.id)
+
+            waiters = [threading.Thread(target=wait) for _ in range(7)]
+            for t in waiters:
+                t.start()
+            assert slot.resolve(_ok(f"w{k}"))
+            for t in waiters:
+                t.join(timeout=5.0)
+            assert not any(t.is_alive() for t in waiters)
+            assert seen == [f"w{k}"] * 7
+            assert slot.done()
+
+    def test_bounded_queue_loses_nothing_under_contention(self):
+        from repro.service.scheduler import WorkItem
+
+        bound = 8
+        scheduler = Scheduler(max_queue=bound)
+        producers, consumers, per_producer = 4, 3, 300
+        taken, depths = [], []
+        lock = threading.Lock()
+        done = threading.Event()
+
+        def produce(p):
+            for k in range(per_producer):
+                item = WorkItem(
+                    request_id=f"{p}-{k}", spec=None, options=None,
+                    fingerprint="fp", seed=0, deadline=0.0, slot=None,
+                )
+                assert scheduler.submit(item, block=True, timeout=10.0)
+
+        def consume():
+            while not (done.is_set() and scheduler.queue_depth() == 0):
+                batch = scheduler.next_batch(3, wait_s=0.01)
+                with lock:
+                    taken.extend(item.request_id for item in batch)
+                    depths.append(scheduler.queue_depth())
+
+        threads = [
+            threading.Thread(target=produce, args=(p,))
+            for p in range(producers)
+        ]
+        eaters = [threading.Thread(target=consume) for _ in range(consumers)]
+        for t in threads + eaters:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        done.set()
+        for t in eaters:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads + eaters)
+        assert sorted(taken) == sorted(
+            f"{p}-{k}" for p in range(producers) for k in range(per_producer)
+        )
+        assert max(depths) <= bound
+        # Every place came back: the bound admits exactly ``bound`` more.
+        item = WorkItem(
+            request_id="x", spec=None, options=None, fingerprint="fp",
+            seed=0, deadline=0.0, slot=None,
+        )
+        assert all(scheduler.submit(item, block=False) for _ in range(bound))
+        assert not scheduler.submit(item, block=False)
+
 
 class TestDoneCallbacks:
     def test_early_callback_runs_on_the_resolving_thread(self):

@@ -1262,3 +1262,125 @@ class TestSilentRespawn:
         assert procs[1].returncode == -9
         # A node that is still starting is never dialled.
         assert counter("router_connect_failures_total", 1) == 0
+
+
+class _UnreadPeer:
+    """A ``repro serve --listen`` impostor: it answers the handshake of
+    its one connection, then never reads another byte, so a large
+    enough write into it blocks once both socket buffers are full.  It
+    accepts no reconnect, so nothing else is placed on it later."""
+
+    def __init__(self):
+        import socket
+
+        from repro.service.transport import Hello
+
+        self._hello = Hello(node_id="unread", role="server").to_json()
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # Small buffers, set before listen() so accepted sockets get
+        # them: a few KiB fill them.
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(8)
+        self.address = "%s:%d" % self._listener.getsockname()[:2]
+        self._conns = []
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return
+        self._listener.close()
+        self._conns.append(sock)
+        sock.makefile("rb").readline()  # the client's hello
+        sock.sendall(
+            (json.dumps(self._hello, sort_keys=True) + "\n").encode()
+        )
+
+    def close(self):
+        self._listener.close()
+        for sock in self._conns:
+            sock.close()
+
+
+class TestUnreadPeer:
+    def test_a_peer_that_stops_reading_stalls_nothing(
+        self, monkeypatch
+    ):
+        """A node that completes the handshake and then never reads:
+        the write blocked on it gives up after the send timeout, its
+        request fails over to the other node, and meanwhile the other
+        node keeps answering requests and heartbeats."""
+        from repro.service import transport
+        from repro.service.api import ServiceConfig, StencilService
+        from repro.service.transport import SocketServer
+
+        monkeypatch.setattr(transport, "SEND_TIMEOUT_S", 1.0)
+        stuck = _UnreadPeer()
+        service = StencilService(
+            ServiceConfig(workers=1), registry=MetricsRegistry()
+        ).start()
+        server = SocketServer(service)
+        server.start()
+        registry = MetricsRegistry()
+        router = Router(
+            RouterConfig(
+                remotes=(stuck.address, "%s:%d" % server.address),
+                heartbeat_interval_s=0.05,
+                heartbeat_timeout_s=60.0,  # only the send timeout helps
+            ),
+            registry=registry,
+        ).start()
+
+        def homed_on(idx):
+            for rows in range(10, 60):
+                if rendezvous_order(_fp("SOBEL", (rows, 12)), 2)[0] == idx:
+                    return [rows, 12]
+            raise AssertionError("no grid homes there")
+
+        def pongs():
+            histograms = registry.snapshot()["histograms"]
+            return histograms.get("router_heartbeat_rtt_ms", {}).get(
+                "count", 0
+            )
+
+        # Megabytes of trace id: far more than the buffers hold.
+        big = {
+            "proto": 1, "benchmark": "SOBEL", "grid": homed_on(0),
+            "trace_id": "a" * (8 << 20),
+        }
+        small = {"proto": 1, "benchmark": "SOBEL", "grid": homed_on(1)}
+        result = {}
+
+        def submit_big():
+            result["slot"] = router.submit(big)
+
+        writer = threading.Thread(target=submit_big, daemon=True)
+        try:
+            assert router.handle(dict(small, seed=0), 60).ok
+            before = pongs()
+            writer.start()
+            seed, answered = 1, 0
+            deadline = time.monotonic() + 10.0
+            while writer.is_alive() and time.monotonic() < deadline:
+                response = router.handle(dict(small, seed=seed), 10)
+                assert response.ok and response.node == 1
+                answered += 1
+                seed += 1
+                time.sleep(0.05)
+            during = pongs() - before
+            writer.join(timeout=0.1)
+            assert not writer.is_alive(), "the write never gave up"
+            response = result["slot"].result(60)
+            counters = registry.snapshot()["counters"]
+        finally:
+            router.close(timeout=5)
+            server.stop()
+            service.shutdown()
+            stuck.close()
+        assert response.ok and response.node == 1
+        assert counters.get("router_failovers_total", 0) >= 1
+        assert answered >= 5, answered
+        # The supervisor kept pinging the healthy node throughout.
+        assert during >= 5, during

@@ -31,7 +31,9 @@ def public_members(module):
         if obj is None:
             continue
         defined_here = getattr(obj, "__module__", None) == module.__name__
-        if inspect.isclass(obj) or inspect.isfunction(obj):
+        # unwrap: a memoized function (functools.lru_cache) is still
+        # a function of this module.
+        if inspect.isclass(obj) or inspect.isfunction(inspect.unwrap(obj)):
             if defined_here:
                 yield name, obj
 
