@@ -51,6 +51,7 @@ from .program import (
     LoweringError,
     LoweringUnsupported,
     ProgramPart,
+    row_major_strides,
     validate_program,
 )
 
@@ -72,14 +73,6 @@ GATHER_POINT_LIMIT = 1 << 18
 #: past this the flat output row itself is no longer a sane
 #: single-request payload, chunked or not.
 GATHER_HARD_LIMIT = 1 << 24
-
-
-def _strides(extents: Tuple[int, ...]) -> List[int]:
-    """Row-major strides: suffix products of the extents."""
-    strides = [1] * len(extents)
-    for j in range(len(extents) - 2, -1, -1):
-        strides[j] = strides[j + 1] * extents[j + 1]
-    return strides
 
 
 def _dot(a, b) -> int:
@@ -134,7 +127,7 @@ def _reuse_offsets(spec: StencilSpec, domain) -> List[int]:
         (hi + ma) - (lo + mi) + 1
         for lo, hi, mi, ma in zip(lows, highs, mins, maxs)
     )
-    hull_strides = _strides(hull_extents)
+    hull_strides = row_major_strides(hull_extents)
     offsets = spec.window.offsets  # descending lex == filter order
     return [
         _dot(
@@ -226,7 +219,7 @@ def bufferize(
     """
     domain = spec.iteration_domain
     grid = tuple(int(g) for g in spec.grid)
-    grid_strides = _strides(grid)
+    grid_strides = row_major_strides(grid)
 
     refs = collect_refs(spec.expression)
     read_slots = {}

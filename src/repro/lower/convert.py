@@ -18,9 +18,11 @@ not enough).  Two properties make that hold:
   ``np.minimum``/``np.maximum``, ``abs``, ``math.sqrt``-or-``np.sqrt``)
   — all IEEE-754 double ops with one correctly rounded result, so
   scalar and array evaluation agree element for element;
-* reads are strided views for box domains (exactly the shifted slices
-  ``run_golden`` takes) and flat gather tables for skewed polyhedra
-  (exactly the per-point loads of ``iter_outputs_pointwise``).
+* every output point sees exactly the input values ``run_golden`` (box
+  domains) or ``iter_outputs_pointwise`` (skewed polyhedra) feed it:
+  read ``r`` of the point at flat index ``p`` is the input at
+  ``p + r.flat``, loaded from one contiguous slice of the flat input
+  per strip (box) or one gather per point chunk (polyhedra).
 
 Every converter call re-derives the program from the plan
 (:func:`repro.lower.bufferize.bufferize_plan` is cheap and
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,7 +47,7 @@ from .bufferize import (
     GATHER_POINT_LIMIT,
     bufferize_plan,
 )
-from .gather import GATHER_CHUNK_POINTS, gather_base
+from .gather import gather_base
 from .program import (
     BufferProgram,
     LoweringError,
@@ -52,6 +55,7 @@ from .program import (
     ProgramMismatchError,
     program_from_json,
     program_to_json,
+    row_major_strides,
     validate_program,
 )
 
@@ -126,32 +130,47 @@ def converter_names() -> List[str]:
     return sorted(_CONVERTERS)
 
 
-#: Working-set budget for one batched replay, in bytes.  A batch of B
-#: grids materializes ``reads x B x n_outputs`` float64 intermediates;
-#: past a few MB those spill out of cache and the batched kernel runs
-#: *slower* than B single runs.  ``run_batch`` therefore splits large
-#: batches into sub-chunks sized to this budget — pure partitioning of
-#: the leading axis, so every row's arithmetic is unchanged and bit
-#: identity is preserved.
-BATCH_WORKING_SET_BYTES = 4 * 1024 * 1024
+#: Working-set budget of one kernel call, in bytes: the scratch slots
+#: plus one output strip, over the whole batch.  It sets the strip
+#: height, ``rows = budget // ((slots + 1) x batch x row_stride x 8)``
+#: (at least 1), the same way for gather chunks (a row is one point)
+#: and for splitting oversized batches, so the live temporaries stay in
+#: L2 instead of streaming a full-grid array through memory per op.
+#: Over a 256 KiB-4 MiB sweep on a 2 MiB-L2 Xeon, 1 MiB was fastest on
+#: SOBEL/RICIAN 512² and DENOISE_3D 64³ and within 7% on DENOISE 256².
+STREAM_BUDGET_BYTES = 1 << 20
 
 #: Per-grid value-array footprint below which a same-fingerprint batch
 #: is fused into one stacked ``run_batch`` call.  Fusing amortizes the
 #: per-op ndarray dispatch cost and wins big on small grids (5x at
 #: 16x20); past ~32KB per grid the stack copy plus the fatter working
-#: set cost more than the dispatch they save, and per-grid strided
-#: views win (measured crossover ~1-3k outputs).
+#: set cost more than the dispatch they save, and per-grid runs win
+#: (measured crossover ~1-3k outputs).
 FUSE_BATCH_ITEM_BYTES = 32 * 1024
 
-#: Output bytes of one box replay (the whole batch's row block) past
-#: which the op tape runs over row strips instead: every temporary
-#: then spans at most about this many bytes, so the handful live at
-#: once stay in L2 rather than streaming a full-grid array through
-#: memory per op.  On a 2 MiB-L2 Xeon, 512 KiB strips ran SOBEL
-#: 512x512 1.8x faster than whole-box replay and RICIAN 512x512 ~5%
-#: faster; smaller strips paid more in per-strip op dispatch than they
-#: saved (256 KiB slowed DENOISE 256x256 by ~12%, 64 KiB everything).
-STRIP_BYTES = 512 * 1024
+#: Per-thread scratch arena, reused across calls and kernels.  It grows
+#: to the largest request it has served and never shrinks, so it holds
+#: at most ``max(STREAM_BUDGET_BYTES, one minimum strip)`` per thread
+#: that runs kernels, where a minimum strip is the scratch slots of a
+#: single output row of a single grid (the only request that can exceed
+#: the budget, since oversized batches are split first).
+_ARENA = threading.local()
+
+
+def _arena(n: int) -> np.ndarray:
+    """This thread's scratch arena: at least ``n`` float64 values."""
+    buf = getattr(_ARENA, "buffer", None)
+    if buf is None or buf.size < n:
+        buf = _ARENA.buffer = np.empty(
+            max(n, STREAM_BUDGET_BYTES // 8), dtype=np.float64
+        )
+    return buf
+
+
+def _copy(src, out) -> None:
+    """A result that no op produced (a bare read, a folded constant)
+    still lands in a scratch slot, bits unchanged."""
+    np.copyto(out, src)
 
 
 class CompiledKernel:
@@ -161,6 +180,19 @@ class CompiledKernel:
     (leading batch axis) through the same ndarray ops.  Outputs come
     back as contiguous float64 rows in the accelerator's lexicographic
     emission order — ready to digest.
+
+    Execution streams the flat, row-major input the way the paper's
+    reuse buffer does: every read is one constant offset
+    (``BufferRead.flat``) into the ``(batch, N)`` input, so a strip of
+    output rows reads each operand as one contiguous 1-D slice.  The
+    lanes between a strip's rows (the halo, outside the output box) are
+    computed on in-bounds values and dropped when the strip is copied
+    into the output, with floating-point warnings silenced.  The op tape
+    runs over a static scratch plan built once here, like register
+    allocation: an op writes into its left operand's slot if that is
+    scratch, else its right operand's, else a free slot.  Scalar-only
+    ops are folded here with the Python semantics of
+    :func:`repro.stencil.expr.evaluate`.
     """
 
     def __init__(
@@ -172,84 +204,183 @@ class CompiledKernel:
         self.program = program
         self.n_outputs = program.n_outputs
         self._grid = tuple(program.grid)
-        # Read slots materialize per stream part in emission order
-        # (the software analogue of each off-chip stream delivering
-        # its segment's data), then any non-window reads.  Values stay
-        # indexed by slot, so the op tape is part-agnostic.
-        if program.parts:
-            self._slot_order: List[int] = [
-                slot for part in program.parts for slot in part.reads
-            ]
-            covered = set(self._slot_order)
-            self._slot_order.extend(
-                s for s in range(len(program.reads))
-                if s not in covered
-            )
-        else:
-            self._slot_order = list(range(len(program.reads)))
-        self._gather: Optional[np.ndarray] = None
+        self._flats = [read.flat for read in program.reads]
+        self._plan()
         self._gather_base: Optional[np.ndarray] = None
+        strides = row_major_strides(self._grid)
+        # One strip row is one grid row of the leading axis (box) or
+        # one output point (gather); its budget share is the scratch
+        # slots plus the output.
+        self._lane = strides[0] if program.mode == "box" else 1
+        self._row_bytes = (self._n_slots + 1) * self._lane * 8
         if program.mode == "box":
-            lows, shape = program.lows, program.shape
-            self._slices: List[Tuple[slice, ...]] = [
-                tuple(
-                    slice(lo + d, lo + d + extent)
-                    for lo, extent, d in zip(lows, shape, read.offset)
-                )
-                for read in program.reads
-            ]
-        else:
-            self._slices = []
-            domain = domain_from_json(program.domain)
-            lows, highs = domain.bounding_box()
-            volume = 1
-            for lo, hi in zip(lows, highs):
-                volume *= max(hi - lo + 1, 0)
-            if volume > gather_limit:
-                # Chunked regime: keep one output row's worth of flat
-                # indices; per-read tables are rebuilt per chunk at
-                # execution time, never the full ``reads x points``
-                # table.
-                self._gather_base = gather_base(
-                    domain, self._grid, program.reads,
-                    program.n_outputs,
-                )
-                return
-            points = list(domain.iter_points())
-            if len(points) != program.n_outputs:
-                raise LoweringError(
-                    f"gather domain yields {len(points)} points but "
-                    f"the program claims {program.n_outputs}"
-                )
-            dim = len(self._grid)
-            pts = np.asarray(points, dtype=np.int64).reshape(-1, dim)
-            strides = np.ones(dim, dtype=np.int64)
-            for j in range(dim - 2, -1, -1):
-                strides[j] = strides[j + 1] * self._grid[j + 1]
-            for read in program.reads:
-                shifted = pts + np.asarray(read.offset, dtype=np.int64)
-                if pts.size and (
-                    (shifted < 0).any()
-                    or (shifted >= np.asarray(self._grid)).any()
-                ):
-                    raise LoweringUnsupported(
-                        "out_of_bounds",
-                        f"read {read.array}{list(read.offset)} leaves "
-                        "the grid over the gathered domain",
-                    )
-            base = pts @ strides if pts.size else np.zeros(
-                0, dtype=np.int64
+            shape = program.shape
+            # The last output row of a strip ends ``tail`` lanes after
+            # it starts.
+            self._tail = 1 + sum(
+                (extent - 1) * stride
+                for extent, stride in zip(shape[1:], strides[1:])
             )
-            self._gather = np.stack(
-                [base + read.flat for read in program.reads]
-            ) if program.reads else np.zeros((0, 0), dtype=np.int64)
+            self._crop = (slice(None), slice(None)) + tuple(
+                slice(0, extent) for extent in shape[1:]
+            )
+            return
+        domain = domain_from_json(program.domain)
+        lows, highs = domain.bounding_box()
+        volume = 1
+        for lo, hi in zip(lows, highs):
+            volume *= max(hi - lo + 1, 0)
+        if volume > gather_limit:
+            # Chunked regime: sweep the bounding box vectorized
+            # instead of walking every point in Python.
+            self._gather_base = gather_base(
+                domain, self._grid, program.reads, program.n_outputs,
+            )
+            return
+        points = list(domain.iter_points())
+        if len(points) != program.n_outputs:
+            raise LoweringError(
+                f"gather domain yields {len(points)} points but "
+                f"the program claims {program.n_outputs}"
+            )
+        pts = np.asarray(points, dtype=np.int64).reshape(
+            -1, len(self._grid)
+        )
+        for read in program.reads:
+            shifted = pts + np.asarray(read.offset, dtype=np.int64)
+            if pts.size and (
+                (shifted < 0).any()
+                or (shifted >= np.asarray(self._grid)).any()
+            ):
+                raise LoweringUnsupported(
+                    "out_of_bounds",
+                    f"read {read.array}{list(read.offset)} leaves "
+                    "the grid over the gathered domain",
+                )
+        self._gather_base = pts @ np.asarray(strides, dtype=np.int64)
+
+    #: opcode -> ufunc for the binary stack ops.  Each is the exact
+    #: ufunc the plain operator dispatches to (``a + b`` IS
+    #: ``np.add(a, b)``), so writing through ``out=`` cannot change a
+    #: single bit of the result — it only changes where it lands.
+    _BINARY_UFUNCS = {
+        "add": np.add,
+        "sub": np.subtract,
+        "mul": np.multiply,
+        "div": np.true_divide,
+        "min": np.minimum,
+        "max": np.maximum,
+    }
+
+    #: opcode -> the plain Python operation ``evaluate`` applies when
+    #: both operands are scalars; ``min``/``max`` keep their ufunc (the
+    #: interpreted evaluator's NaN propagation).
+    _SCALAR_BINARY = {
+        "add": operator.add,
+        "sub": operator.sub,
+        "mul": operator.mul,
+        "div": operator.truediv,
+    }
+
+    #: opcode -> (array ufunc, scalar function) for the unary ops; the
+    #: scalar twin is the plain Python operation ``evaluate`` applies.
+    _UNARY_OPS = {
+        "neg": (np.negative, operator.neg),
+        "abs": (np.absolute, abs),
+        "sqrt": (np.sqrt, math.sqrt),
+    }
+
+    def _plan(self) -> None:
+        """Build the static scratch plan of the op tape.
+
+        ``self._steps`` holds ``(fn, a, b, out)`` tuples of indices
+        into one per-strip operand list: the reads, then the scratch
+        slots, then the folded constants (``b`` is None for unary
+        steps).  The result always ends in scratch slot
+        ``self._result``.
+        """
+        n_reads = len(self.program.reads)
+        stack: List[Tuple[str, object]] = []  # (read|const|slot, value)
+        free: List[int] = []
+        planned: List[Tuple[Callable, list, int]] = []
+        n_slots = 0
+        for op in self.program.ops:
+            kind = op["op"]
+            if kind in ("read", "const"):
+                stack.append(
+                    (kind, op["ref"] if kind == "read" else op["value"])
+                )
+                continue
+            args = [stack.pop()] if kind in self._UNARY_OPS else [
+                stack.pop(-2), stack.pop()
+            ]
+            if all(tag == "const" for tag, _ in args):
+                stack.append(("const", self._fold(kind, args)))
+                continue
+            slots = [value for tag, value in args if tag == "slot"]
+            if slots:
+                dest = slots[0]
+                free.extend(slots[1:])
+            elif free:
+                dest = free.pop()
+            else:
+                dest, n_slots = n_slots, n_slots + 1
+            fn = (
+                self._UNARY_OPS[kind][0]
+                if kind in self._UNARY_OPS
+                else self._BINARY_UFUNCS[kind]
+            )
+            planned.append((fn, args, dest))
+            stack.append(("slot", dest))
+        tag, value = stack.pop()
+        if tag != "slot":
+            # No array op ran, so every slot is free.
+            planned.append((_copy, [(tag, value)], 0))
+            value, n_slots = 0, max(n_slots, 1)
+        consts: List[object] = []
+
+        def index(operand) -> int:
+            tag, value = operand
+            if tag == "read":
+                return value
+            if tag == "slot":
+                return n_reads + value
+            consts.append(value)
+            return n_reads + n_slots + len(consts) - 1
+
+        self._steps = [
+            (
+                fn,
+                index(args[0]),
+                index(args[1]) if len(args) > 1 else None,
+                n_reads + dest,
+            )
+            for fn, args, dest in planned
+        ]
+        self._consts = consts
+        self._n_slots = n_slots
+        self._result = value
+
+    def _fold(self, kind: str, args) -> object:
+        """One scalar-only op, with ``evaluate``'s Python semantics."""
+        values = [value for _, value in args]
+        try:
+            if kind in self._UNARY_OPS:
+                return self._UNARY_OPS[kind][1](*values)
+            if kind in self._SCALAR_BINARY:
+                return self._SCALAR_BINARY[kind](*values)
+            return self._BINARY_UFUNCS[kind](*values)
+        except (ArithmeticError, ValueError) as exc:
+            raise LoweringUnsupported(
+                "constant_fold", f"constant {kind} fails: {exc}"
+            ) from exc
 
     # -- execution -----------------------------------------------------
     def run(self, grid: np.ndarray) -> np.ndarray:
         """One grid in, one flat float64 output row out.
 
         The row is freshly owned memory (never a view of ``grid`` or
-        of a pooled buffer), so a caller may reshape it into the next
+        of the scratch arena), so a caller may reshape it into the next
         stage's input and drop it once that stage has run.
         """
         return self.run_batch(grid[np.newaxis, ...])[0]
@@ -258,9 +389,9 @@ class CompiledKernel:
         """One output row per input grid, choosing the cheaper shape.
 
         Small grids fuse into a single stacked :meth:`run_batch` call;
-        large grids run one at a time over strided views of the caller's
-        (cached) arrays, skipping the stack copy entirely.  Row values
-        are bit-identical either way — only the execution shape differs.
+        large grids run one at a time over the caller's (cached)
+        arrays, skipping the stack copy entirely.  Row values are
+        bit-identical either way — only the execution shape differs.
         """
         if self.fuses(len(grids)):
             rows = self.run_batch(np.stack(grids))
@@ -281,10 +412,9 @@ class CompiledKernel:
                 f"{self._grid}"
             )
         batch = grids.shape[0]
-        per_row = max(
-            1, len(self.program.reads) * self.n_outputs * 8
-        )
-        chunk = max(1, BATCH_WORKING_SET_BYTES // per_row)
+        # Split a batch too large for even one-row strips to fit the
+        # budget: pure partitioning of the leading axis.
+        chunk = max(1, STREAM_BUDGET_BYTES // self._row_bytes)
         if batch <= chunk:
             return self._run_chunk(grids)
         out = np.empty((batch, self.n_outputs), dtype=np.float64)
@@ -293,203 +423,55 @@ class CompiledKernel:
             out[start:start + piece.shape[0]] = self._run_chunk(piece)
         return out
 
-    def _strip_rows(self, batch: int) -> int:
-        """Leading-axis rows per strip for a box replay of ``batch``
-        grids, or 0 when the whole block fits :data:`STRIP_BYTES`."""
-        rows = self.program.shape[0]
-        if rows <= 1 or batch * self.n_outputs * 8 <= STRIP_BYTES:
-            return 0
-        # rows * row_bytes > STRIP_BYTES here, so the strip is < rows.
-        row_bytes = batch * (self.n_outputs // rows) * 8
-        return max(1, STRIP_BYTES // row_bytes)
-
-    def _run_box_strips(self, grids: np.ndarray, strip: int) -> np.ndarray:
-        """Replay the tape over ``strip``-row slabs of the box views.
-
-        Every op is elementwise, so a slab's outputs see exactly the
-        ufuncs and operands of the whole-box replay: bit-identical,
-        with temporaries that stay cache-sized.
-        """
-        batch = grids.shape[0]
-        shape = tuple(self.program.shape)
-        out = np.empty((batch,) + shape, dtype=np.float64)
-        values: List = [None] * len(self.program.reads)
-        for r0 in range(0, shape[0], strip):
-            r1 = min(r0 + strip, shape[0])
-            for slot in self._slot_order:
-                first, *rest = self._slices[slot]
-                values[slot] = grids[
-                    (slice(None), slice(first.start + r0, first.start + r1))
-                    + tuple(rest)
-                ]
-            dest = out[:, r0:r1]
-            result = self._replay(values, dest)
-            if result is not dest:
-                dest[...] = result
-        return out.reshape(batch, -1)
-
     def _run_chunk(self, grids: np.ndarray) -> np.ndarray:
         batch = grids.shape[0]
-        if self.program.mode == "box":
-            strip = self._strip_rows(batch)
-            if strip:
-                return self._run_box_strips(grids, strip)
-            values: List = [None] * len(self.program.reads)
-            for slot in self._slot_order:
-                values[slot] = grids[
-                    (slice(None),) + self._slices[slot]
-                ]
-        elif self._gather is not None:
-            flat = grids.reshape(batch, -1)
-            values = [None] * len(self.program.reads)
-            for slot in self._slot_order:
-                values[slot] = flat[:, self._gather[slot]]
-        else:
-            return self._run_gather_chunked(grids)
-        out = np.asarray(self._replay(values), dtype=np.float64)
-        if out.ndim == 0:  # constant-folded result (defensive)
-            out = np.broadcast_to(out, (batch, self.n_outputs))
-        return np.ascontiguousarray(
-            out.reshape(batch, -1), dtype=np.float64
+        flat = np.ascontiguousarray(grids, dtype=np.float64).reshape(
+            batch, math.prod(self._grid)
         )
-
-    def _run_gather_chunked(self, grids: np.ndarray) -> np.ndarray:
-        """Replay fixed-size point chunks against the flat base row.
-
-        Each chunk rebuilds its per-read index tables from one slice
-        of ``_gather_base`` — the working set is ``reads x chunk``
-        instead of ``reads x points``.  Every output element sees the
-        same ufunc ops on the same operands as the eager table, so
-        chunking cannot change a bit.
-        """
-        batch = grids.shape[0]
-        flat = grids.reshape(batch, -1)
-        reads = self.program.reads
         out = np.empty((batch, self.n_outputs), dtype=np.float64)
-        for start in range(0, self.n_outputs, GATHER_CHUNK_POINTS):
-            stop = min(start + GATHER_CHUNK_POINTS, self.n_outputs)
-            base = self._gather_base[start:stop]
-            values: List = [None] * len(reads)
-            for slot in self._slot_order:
-                values[slot] = flat[:, base + reads[slot].flat]
-            piece = np.asarray(
-                self._replay(values), dtype=np.float64
-            )
-            if piece.ndim == 0:  # constant-folded (defensive)
-                piece = np.broadcast_to(
-                    piece, (batch, stop - start)
-                )
-            out[:, start:stop] = piece.reshape(batch, -1)
+        box = self.program.mode == "box"
+        rows = max(1, min(
+            STREAM_BUDGET_BYTES // (self._row_bytes * max(batch, 1)),
+            self.program.shape[0] if box else self.n_outputs,
+        ))
+        width = rows * self._lane
+        size = self._n_slots * batch * width
+        slots = _arena(size)[:size].reshape(self._n_slots, batch, width)
+        result = slots[self._result]
+        with np.errstate(all="ignore"):
+            if box:
+                shape = self.program.shape
+                view = out.reshape((batch,) + shape)
+                for r0 in range(0, shape[0], rows):
+                    n = min(rows, shape[0] - r0)
+                    start = self.program.base + r0 * self._lane
+                    span = (n - 1) * self._lane + self._tail
+                    self._stream(
+                        [flat[:, start + f:start + f + span]
+                         for f in self._flats],
+                        list(slots[:, :, :span]),
+                    )
+                    view[:, r0:r0 + n] = result[
+                        :, :n * self._lane
+                    ].reshape((batch, n) + self._grid[1:])[self._crop]
+            else:
+                for p0 in range(0, self.n_outputs, rows):
+                    base = self._gather_base[p0:p0 + rows]
+                    self._stream(
+                        [flat[:, base + f] for f in self._flats],
+                        list(slots[:, :, :base.size]),
+                    )
+                    out[:, p0:p0 + base.size] = result[:, :base.size]
         return out
 
-    #: opcode -> ufunc for the binary stack ops.  Each is the exact
-    #: ufunc the plain operator dispatches to (``a + b`` IS
-    #: ``np.add(a, b)``), so writing through ``out=`` cannot change a
-    #: single bit of the result — it only changes where it lands.
-    _BINARY_UFUNCS = {
-        "add": np.add,
-        "sub": np.subtract,
-        "mul": np.multiply,
-        "div": np.true_divide,
-        "min": np.minimum,
-        "max": np.maximum,
-    }
-
-    #: opcode -> (array ufunc, scalar function) for the unary ops; the
-    #: scalar twin is the plain Python operation ``evaluate`` applies.
-    _UNARY_OPS = {
-        "neg": (np.negative, operator.neg),
-        "abs": (np.absolute, abs),
-        "sqrt": (np.sqrt, math.sqrt),
-    }
-
-    def _replay(
-        self,
-        values: List[np.ndarray],
-        dest: Optional[np.ndarray] = None,
-    ):
-        """Run the stack program with ``evaluate``'s exact op set.
-
-        Array temporaries are recycled in place: a binary op whose
-        operand is already a scratch buffer owned by this call writes
-        its result over that operand (``out=``) instead of allocating
-        a fresh output-sized array per op.  On cache-sized grids this
-        keeps one hot buffer resident instead of streaming a new
-        allocation through memory for every op (~3x on the RICIAN
-        chain).  Scratch buffers are per call, never pooled across
-        calls: :meth:`run` promises freshly owned rows, because callers
-        reshape each row into the next stage's input and still hold it
-        while later calls run — a pooled buffer would be overwritten
-        under them.  Dropping a dead row hands its pages back to the
-        allocator for the next stage to reuse.
-        Scalar-only arithmetic stays in plain Python, exactly like
-        :func:`repro.stencil.expr.evaluate`.
-
-        With ``dest``, an array-valued last op writes straight into it
-        (and returns it), saving the strip path one copy per strip.
-        """
-        stack: List = []
-        owned: List[bool] = []  # parallel: is stack[i] our scratch?
-        ufuncs = self._BINARY_UFUNCS
-        unary = self._UNARY_OPS
-        last = len(self.program.ops) - 1
-        for i, op in enumerate(self.program.ops):
-            kind = op["op"]
-            if kind == "read":
-                stack.append(values[op["ref"]])
-                owned.append(False)
-            elif kind == "const":
-                stack.append(op["value"])
-                owned.append(False)
-            elif kind in ufuncs:
-                r = stack.pop()
-                r_owned = owned.pop()
-                left = stack[-1]
-                if not (
-                    isinstance(left, np.ndarray)
-                    or isinstance(r, np.ndarray)
-                ):
-                    # scalar op scalar: Python float semantics, as in
-                    # the interpreted evaluator.
-                    if kind == "add":
-                        stack[-1] = left + r
-                    elif kind == "sub":
-                        stack[-1] = left - r
-                    elif kind == "mul":
-                        stack[-1] = left * r
-                    elif kind == "div":
-                        stack[-1] = left / r
-                    else:
-                        # np.minimum/np.maximum even on scalars — the
-                        # interpreted evaluator's NaN propagation.
-                        stack[-1] = ufuncs[kind](left, r)
-                    continue
-                if dest is not None and i == last:
-                    out = dest
-                else:
-                    out = left if owned[-1] else (r if r_owned else None)
-                if out is None:
-                    stack[-1] = ufuncs[kind](left, r)
-                else:
-                    stack[-1] = ufuncs[kind](left, r, out=out)
-                owned[-1] = True
-            elif kind in unary:
-                array_fn, scalar_fn = unary[kind]
-                v = stack[-1]
-                if not isinstance(v, np.ndarray):
-                    stack[-1] = scalar_fn(v)
-                    continue
-                if dest is not None and i == last:
-                    out = dest
-                else:
-                    out = v if owned[-1] else None
-                stack[-1] = (
-                    array_fn(v) if out is None else array_fn(v, out=out)
-                )
-                owned[-1] = True
-            else:  # pragma: no cover - validate_program rejects these
-                raise LoweringError(f"unknown opcode {kind!r}")
-        return stack[-1]
+    def _stream(self, reads: List[np.ndarray], slots: List) -> None:
+        """Run the planned steps over one strip's operands."""
+        env = reads + slots + self._consts
+        for fn, a, b, out in self._steps:
+            if b is None:
+                fn(env[a], out=env[out])
+            else:
+                fn(env[a], env[b], out=env[out])
 
 
 @register_converter("numpy")

@@ -53,7 +53,7 @@ import numpy as np
 
 from .bufferize import GATHER_POINT_LIMIT
 from .convert import CompiledKernel, ConverterUnavailable, register_converter
-from .program import BufferProgram, LoweringError
+from .program import BufferProgram, LoweringError, row_major_strides
 
 __all__ = [
     "CCompiledKernel",
@@ -176,9 +176,7 @@ def generate_source(program: BufferProgram) -> str:
     grid_elems = 1
     for extent in program.grid:
         grid_elems *= extent
-    strides = [1] * len(program.grid)
-    for j in range(len(program.grid) - 2, -1, -1):
-        strides[j] = strides[j + 1] * program.grid[j + 1]
+    strides = row_major_strides(program.grid)
 
     head: List[str] = [
         "/* Generated by repro.lower.convert_c — do not edit. */",
@@ -462,12 +460,6 @@ class CCompiledKernel(CompiledKernel):
                 f"cannot dlopen built artifact {so_path}: {exc}"
             ) from exc
         self.artifact_path = so_path
-        if program.mode != "box" and self._gather_base is None:
-            # Eager-regime gather: the C loop wants the flat base row,
-            # not the stacked per-read table.
-            self._gather_base = (
-                self._gather[0] - program.reads[0].flat
-            )
 
     def _run_chunk(self, grids: np.ndarray) -> np.ndarray:
         batch = int(grids.shape[0])

@@ -1,11 +1,10 @@
 """Lazy, chunked enumeration of gather domains.
 
 The eager gather path (:class:`repro.lower.convert.CompiledKernel`)
-materializes the full ``reads x points`` index table once per
-fingerprint, which is exactly right below
-:data:`~repro.lower.bufferize.GATHER_POINT_LIMIT` and exactly wrong
-above it: the table stops fitting in cache and the per-process Python
-point walk (``domain.iter_points``) stops being a one-off cost.
+walks the domain's points in Python (``domain.iter_points``) once per
+fingerprint, which is fine below
+:data:`~repro.lower.bufferize.GATHER_POINT_LIMIT` and too slow above
+it.
 
 This module is the chunked alternative.  The domain's bounding box is
 swept in row-major (ascending lexicographic) order in fixed-size
@@ -131,12 +130,14 @@ def gather_base(
     :class:`~repro.lower.program.LoweringError` when the enumeration
     disagrees with the program's claimed output count.
     """
-    from .program import LoweringError, LoweringUnsupported
+    from .program import (
+        LoweringError,
+        LoweringUnsupported,
+        row_major_strides,
+    )
 
     grid_v = np.asarray(grid, dtype=np.int64)
-    strides = np.ones(len(grid), dtype=np.int64)
-    for j in range(len(grid) - 2, -1, -1):
-        strides[j] = strides[j + 1] * grid[j + 1]
+    strides = np.asarray(row_major_strides(grid), dtype=np.int64)
     pieces: List[np.ndarray] = []
     total = 0
     for pts in iter_point_chunks(domain, chunk_points):

@@ -41,6 +41,7 @@ __all__ = [
     "ProgramPart",
     "program_from_json",
     "program_to_json",
+    "row_major_strides",
     "validate_program",
 ]
 
@@ -57,6 +58,14 @@ BUFFER_PROGRAM_VERSION = 1
 OP_PUSH = ("read", "const")
 OP_UNARY = ("neg", "abs", "sqrt")
 OP_BINARY = ("add", "sub", "mul", "div", "min", "max")
+
+
+def row_major_strides(extents) -> List[int]:
+    """Row-major strides (in elements): suffix products of ``extents``."""
+    strides = [1] * len(extents)
+    for j in range(len(extents) - 2, -1, -1):
+        strides[j] = strides[j + 1] * int(extents[j + 1])
+    return strides
 
 
 class LoweringError(RuntimeError):

@@ -13,8 +13,11 @@ three replay the same expression semantics on the same inputs, so any
 drift is a real lowering bug, never rounding noise.
 """
 
+import copy
 import importlib
+import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from repro.service.executor import compile_plan
 from repro.service.fingerprint import CompileOptions, fingerprint
 from repro.sim.engine import ChainSimulator
 from repro.stencil import make_input, skewed_denoise
+from repro.stencil.expr import Ref, square_root
 from repro.stencil.boundary import (
     PAD_MODES,
     pad_grid,
@@ -176,24 +180,44 @@ class TestMultiStream:
         assert np.array_equal(compiled, golden), spec.name
 
 
-def _strip_kernel(spec, monkeypatch, strip_rows, batch=1):
-    """A NumPy kernel whose box replay runs ``strip_rows``-row strips
-    for a batch of ``batch`` grids (the byte budget shrunk to match)."""
+def _numpy_kernel(spec):
     opts = CompileOptions()
-    kernel = convert(
+    return convert(
         bufferize_plan(compile_plan(spec, opts, fingerprint(spec, opts)))
     )
+
+
+def _count_strips(kernel, monkeypatch):
+    """Record one entry per strip (or gather chunk) the kernel runs."""
+    calls = []
+    inner = kernel._stream
+
+    def stream(reads, slots):
+        calls.append(reads[0].shape[-1])
+        inner(reads, slots)
+
+    monkeypatch.setattr(kernel, "_stream", stream)
+    return calls
+
+
+def _strip_kernel(spec, monkeypatch, strip_rows, batch=1):
+    """A NumPy kernel that streams ``strip_rows``-row strips for a
+    batch of ``batch`` grids (the working-set budget shrunk to match),
+    plus the list its strips are counted into."""
+    kernel = _numpy_kernel(spec)
     rows = kernel.program.shape[0]
-    row_bytes = batch * (kernel.n_outputs // rows) * 8
+    assert strip_rows < rows
+    row_bytes = kernel._row_bytes * batch
     monkeypatch.setattr(
-        convert_module, "STRIP_BYTES", strip_rows * row_bytes
+        convert_module, "STREAM_BUDGET_BYTES", strip_rows * row_bytes
     )
-    assert kernel._strip_rows(batch) == strip_rows < rows
-    return kernel
+    return kernel, _count_strips(kernel, monkeypatch)
 
 
 def _assert_batch_matches_golden(kernel, spec, grids):
-    rows = kernel.run_batch(np.stack(grids))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # halo lanes must stay silent
+        rows = kernel.run_batch(np.stack(grids))
     for row, grid in zip(rows, grids):
         golden = np.asarray(
             golden_output_sequence(spec, grid), dtype=np.float64
@@ -203,7 +227,8 @@ def _assert_batch_matches_golden(kernel, spec, grids):
 
 
 class TestStripMinedReplay:
-    """Box replay over row strips is bit-identical to the golden."""
+    """The flat-stream replay over row strips is bit-identical to the
+    golden, whatever the strip height."""
 
     @pytest.mark.parametrize("strip_rows", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", ["DENOISE", "RICIAN", "SOBEL"])
@@ -212,28 +237,32 @@ class TestStripMinedReplay:
     ):
         # 13 output rows: no strip height here divides it evenly.
         spec = get_benchmark(name).with_grid((15, 12))
-        kernel = _strip_kernel(spec, monkeypatch, strip_rows)
+        kernel, strips = _strip_kernel(spec, monkeypatch, strip_rows)
         _assert_batch_matches_golden(kernel, spec, [make_input(spec, 3)])
+        assert len(strips) == -(-13 // strip_rows)
 
     @pytest.mark.parametrize("case", range(3))
     def test_random_3d_specs(self, monkeypatch, case):
         rng = random.Random(CAMPAIGN_SEED + 300 + case)
         spec = random_spec(rng, ndim=3)  # >= 3 output planes
-        kernel = _strip_kernel(spec, monkeypatch, 1 + case % 2)
+        kernel, strips = _strip_kernel(spec, monkeypatch, 1 + case % 2)
         grid = np.random.default_rng(case).uniform(-9, 9, size=spec.grid)
         _assert_batch_matches_golden(kernel, spec, [grid])
+        assert len(strips) > 1
 
     def test_paper_3d_kernel(self, monkeypatch):
         spec = get_benchmark("DENOISE_3D").with_grid((9, 7, 6))
-        kernel = _strip_kernel(spec, monkeypatch, 2)
+        kernel, strips = _strip_kernel(spec, monkeypatch, 2)
         _assert_batch_matches_golden(kernel, spec, [make_input(spec, 1)])
+        assert len(strips) == 4  # 7 output planes in strips of 2
 
     @pytest.mark.parametrize("name", ["RICIAN", "SOBEL"])
     def test_batched_grids(self, monkeypatch, name):
         spec = get_benchmark(name).with_grid((14, 11))
         grids = [make_input(spec, seed) for seed in range(3)]
-        kernel = _strip_kernel(spec, monkeypatch, 2, batch=len(grids))
+        kernel, strips = _strip_kernel(spec, monkeypatch, 2, batch=3)
         _assert_batch_matches_golden(kernel, spec, grids)
+        assert len(strips) == 6
 
     @pytest.mark.parametrize("name", ["DENOISE", "RICIAN", "SOBEL"])
     def test_nan_signed_zero_and_inf_inputs(self, monkeypatch, name):
@@ -249,17 +278,111 @@ class TestStripMinedReplay:
             for i, at in enumerate(picks):
                 flat[at] = specials[i % len(specials)]
             grids.append(grid)
-        kernel = _strip_kernel(spec, monkeypatch, 3, batch=len(grids))
+        kernel, strips = _strip_kernel(spec, monkeypatch, 3, batch=2)
         _assert_batch_matches_golden(kernel, spec, grids)
+        assert len(strips) == -(-kernel.program.shape[0] // 3)
 
-    def test_small_blocks_keep_the_eager_path(self):
+    def test_small_blocks_keep_the_eager_path(self, monkeypatch):
+        """A small box runs as one strip; only a batch too big for the
+        budget splits into several."""
         spec = get_benchmark("SOBEL").with_grid((15, 12))
-        opts = CompileOptions()
-        kernel = convert(
-            bufferize_plan(compile_plan(spec, opts, fingerprint(spec, opts)))
+        kernel = _numpy_kernel(spec)
+        strips = _count_strips(kernel, monkeypatch)
+        grid = make_input(spec, 2)
+        kernel.run(grid)
+        assert len(strips) == 1
+        rows = kernel.run_batch(np.stack([grid] * 10_000))
+        assert len(strips) > 2  # big batches do strip
+        assert rows[-1].tobytes() == kernel.run(grid).tobytes()
+
+    @pytest.mark.parametrize("strip_rows", [2, 5])  # 1-row strips have no halo
+    def test_halo_lanes_fault_where_outputs_do_not(
+        self, monkeypatch, strip_rows
+    ):
+        """The lanes between output rows divide by zero, take the root
+        of a negative and overflow; the real outputs do none of that,
+        so the bits match the golden and no warning escapes."""
+        window = StencilWindow.from_offsets([(0, -1), (0, 0), (0, 1)])
+        left, mid, right = (Ref(o) for o in window.offsets[::-1])
+        expr = (
+            square_root(mid) + 1.0 / mid + mid * 1e300
+            + 0.0 * (left + right)
         )
-        assert kernel._strip_rows(1) == 0
-        assert kernel._strip_rows(10_000) > 0  # big batches do strip
+        spec = StencilSpec("HALO", (9, 8), window, expression=expr)
+        grid = np.random.default_rng(5).uniform(1.0, 2.0, size=(9, 8))
+        grid[:, -1] = 0.0  # divide by zero in the halo lanes
+        grid[0::2, 0] = -1.0  # sqrt of a negative
+        grid[1::2, 0] = 1e300  # overflow
+        kernel, strips = _strip_kernel(spec, monkeypatch, strip_rows)
+        _assert_batch_matches_golden(kernel, spec, [grid])
+        assert len(strips) > 1
+
+    @pytest.mark.parametrize("strip_rows", [1, 4])
+    def test_bare_read_result(self, monkeypatch, strip_rows):
+        window = StencilWindow.from_offsets([(1, -1)])
+        spec = StencilSpec(
+            "READ", (10, 7), window, expression=Ref((1, -1))
+        )
+        grid = make_input(spec, 4)
+        grid.reshape(-1)[::5] = np.nan
+        kernel, strips = _strip_kernel(spec, monkeypatch, strip_rows)
+        _assert_batch_matches_golden(kernel, spec, [grid])
+        assert len(strips) > 1
+
+    @pytest.mark.parametrize("strip_rows", [1, 5])
+    def test_constant_folded_result(self, monkeypatch, strip_rows):
+        """A tape whose value never depends on a read folds to one
+        constant at build time, with Python's scalar semantics."""
+        spec = get_benchmark("SOBEL").with_grid((12, 10))
+        kernel = _numpy_kernel(spec)
+        program = copy.copy(kernel.program)
+        program.ops = [
+            {"op": "const", "value": 1.0},
+            {"op": "const", "value": 3.0},
+            {"op": "div"},
+            {"op": "const", "value": -2.0},
+            {"op": "max"},
+            {"op": "sqrt"},
+        ]
+        kernel = convert(program)
+        row_bytes = kernel._row_bytes * 2
+        monkeypatch.setattr(
+            convert_module, "STREAM_BUDGET_BYTES", strip_rows * row_bytes
+        )
+        strips = _count_strips(kernel, monkeypatch)
+        rows = kernel.run_batch(np.stack([make_input(spec, s) for s in (0, 1)]))
+        want = math.sqrt(np.maximum(1.0 / 3.0, -2.0))
+        assert rows.shape == (2, program.n_outputs)
+        assert (rows == want).all()
+        assert len(strips) == -(-10 // strip_rows)
+
+    @pytest.mark.parametrize("gather_limit", [None, 2])
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_gather_chunks_share_the_executor(
+        self, monkeypatch, gather_limit, chunk
+    ):
+        """Skewed (gather) programs stream point chunks sized by the
+        same budget through the same plan, eager or chunked build."""
+        spec = skewed_denoise(rows=7, cols=9)
+        opts = CompileOptions()
+        program = bufferize_plan(
+            compile_plan(spec, opts, fingerprint(spec, opts))
+        )
+        kernel = convert(
+            program, **({} if gather_limit is None else {
+                "gather_limit": gather_limit
+            })
+        )
+        assert program.mode == "gather"
+        grids = [make_input(spec, seed) for seed in (1, 2)]
+        grids[1].reshape(-1)[::4] = -0.0
+        row_bytes = kernel._row_bytes * len(grids)
+        monkeypatch.setattr(
+            convert_module, "STREAM_BUDGET_BYTES", chunk * row_bytes
+        )
+        strips = _count_strips(kernel, monkeypatch)
+        _assert_batch_matches_golden(kernel, spec, grids)
+        assert len(strips) == -(-kernel.n_outputs // chunk)
 
 
 @pytest.mark.skipif(
