@@ -420,9 +420,6 @@ def _compiled_coverage_pass():
         max_queue=64,
         max_batch=16,
         backend="compiled",
-        # Low chunking threshold: the small skewed domains above it
-        # exercise the chunked gather replay, not just the eager table.
-        gather_limit=256,
     )
     requests = _coverage_requests(COVERAGE_REQUESTS)
 

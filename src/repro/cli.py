@@ -306,8 +306,7 @@ def cmd_simulate(args) -> int:
 def _lowering_from_args(args):
     """Parse ``--lowering`` (one consolidated JSON pass-through) into
     a :class:`~repro.lower.engine.LoweringConfig`, or None when the
-    flag is absent (legacy ``--converter``/``--gather-limit`` knobs
-    then apply)."""
+    flag is absent (the legacy ``--converter`` knob then applies)."""
     from .lower.engine import LoweringConfig
 
     raw = getattr(args, "lowering", None)
@@ -347,7 +346,6 @@ def _service_config(args):
         backend=getattr(args, "backend", "interpreted"),
         lowering=_lowering_from_args(args),
         converter=getattr(args, "converter", "numpy"),
-        gather_limit=getattr(args, "gather_limit", None),
         hang_timeout_s=args.hang_timeout,
         chaos=chaos,
     )
@@ -391,21 +389,12 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     group.add_argument(
-        # Validated by ServiceConfig (positive int).
-        "--gather-limit", type=int, default=None, metavar="POINTS",
-        help=(
-            "gather-domain size above which the compiled backend "
-            "replays the table in fixed-size chunks instead of "
-            "materializing it (default: engine built-in)"
-        ),
-    )
-    group.add_argument(
         "--lowering", default=None, metavar="JSON",
         help=(
             "consolidated lowering config as a JSON object (keys: "
-            "converter, gather_limit, gather_hard_limit, artifact_dir); "
-            "overrides --converter/--gather-limit.  This is the single "
-            "pass-through the router uses to configure its nodes"
+            "converter, artifact_dir); overrides --converter.  This is "
+            "the single pass-through the router uses to configure its "
+            "nodes"
         ),
     )
     group.add_argument(
@@ -711,11 +700,7 @@ def cmd_route(args) -> int:
     if lowering is None:
         from .lower.engine import LoweringConfig
 
-        kwargs = {"converter": converter}
-        gather_limit = getattr(args, "gather_limit", None)
-        if gather_limit:
-            kwargs["gather_limit"] = int(gather_limit)
-        lowering = LoweringConfig(**kwargs)
+        lowering = LoweringConfig(converter=converter)
     remotes = tuple(getattr(args, "connect", None) or ())
     node = NodeConfig(
         workers=args.workers,

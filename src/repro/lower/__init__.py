@@ -9,13 +9,7 @@ see the module docstrings of :mod:`repro.lower.program`,
 one execution core (:func:`repro.service.executor.run_stages`).
 """
 
-from .bufferize import (
-    GATHER_HARD_LIMIT,
-    GATHER_POINT_LIMIT,
-    bufferize,
-    bufferize_plan,
-    stream_parts,
-)
+from .bufferize import bufferize, bufferize_plan, stream_parts
 from .convert import (
     CompiledKernel,
     ConverterUnavailable,
@@ -26,7 +20,7 @@ from .convert import (
     register_converter,
 )
 from .engine import CompiledEngine, LowerResult, LoweringConfig
-from .gather import GATHER_CHUNK_POINTS, iter_point_chunks
+from .gather import iter_point_chunks
 from .program import (
     BUFFER_PROGRAM_VERSION,
     BufferProgram,
@@ -42,9 +36,6 @@ from .program import (
 
 __all__ = [
     "BUFFER_PROGRAM_VERSION",
-    "GATHER_CHUNK_POINTS",
-    "GATHER_HARD_LIMIT",
-    "GATHER_POINT_LIMIT",
     "BufferProgram",
     "BufferRead",
     "CompiledEngine",

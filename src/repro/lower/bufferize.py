@@ -3,8 +3,8 @@
 The value-lowering split (after the xdsl stencil rationale): this stage
 resolves everything *symbolic* — window offsets, the expression tree,
 the iteration domain, the plan's non-uniform FIFO partition — into flat
-integers and a linear op list, and nothing here depends on NumPy or on
-how the program will eventually execute.
+integers and a linear op list, and nothing here depends on how the
+program will eventually execute.
 
 The stage also ties the lowering back to the paper: for a single-stream
 plan, the flat distance between lexicographically adjacent window reads
@@ -25,13 +25,12 @@ against the shared output domain.  The surviving deltas must equal the
 plan's multi-stream ``fifo_capacities`` — the same honesty check,
 stream-aware.
 
-Gather domains whose bounding box exceeds :data:`GATHER_POINT_LIMIT`
-points lower to *chunked* gather tables: the converter enumerates the
-domain lazily in fixed-size chunks (each far under the limit) and
-replays the kernel per chunk without ever materializing the full
-``reads x points`` table.  Only boxes past :data:`GATHER_HARD_LIMIT`
-are refused — at that size the output row itself stops being a sane
-single-request payload.
+Gather (skewed) domains are counted, and later enumerated by the
+converter, with one vectorized sweep of their bounding box in
+fixed-size chunks (:mod:`repro.lower.gather`), so the full ``reads x
+points`` table is never materialized.  Only boxes past
+:data:`GATHER_HARD_LIMIT` are refused — at that size the output row
+itself stops being a sane single-request payload.
 
 Still not covered (falls back to the interpreted executor):
 out-of-bounds reads — an explicit iteration domain that pushes the
@@ -45,6 +44,7 @@ from typing import List, Optional, Tuple
 from ..polyhedral.domain import BoxDomain, domain_to_json
 from ..stencil.expr import BinOp, Const, Expr, Ref, UnOp, collect_refs
 from ..stencil.spec import StencilSpec
+from .gather import count_points
 from .program import (
     BufferProgram,
     BufferRead,
@@ -57,21 +57,14 @@ from .program import (
 
 __all__ = [
     "GATHER_HARD_LIMIT",
-    "GATHER_POINT_LIMIT",
     "bufferize",
     "linearize_expr",
     "stream_parts",
 ]
 
-#: Bounding-box size past which a gather domain is *chunked* instead of
-#: enumerated into one eager full table (the ``reads x points`` table
-#: stays cache-resident below this; above it the converter replays
-#: fixed-size chunks).
-GATHER_POINT_LIMIT = 1 << 18
-
 #: Bounding-box size past which a gather domain is refused outright —
 #: past this the flat output row itself is no longer a sane
-#: single-request payload, chunked or not.
+#: single-request payload.  Read at call time.
 GATHER_HARD_LIMIT = 1 << 24
 
 
@@ -202,8 +195,6 @@ def bufferize(
     fingerprint: str,
     fifo_capacities: Optional[List[int]] = None,
     offchip_streams: int = 1,
-    gather_limit: int = GATHER_POINT_LIMIT,
-    gather_hard_limit: int = GATHER_HARD_LIMIT,
 ) -> BufferProgram:
     """Lower ``spec`` (+ its compiled partition) to a buffer program.
 
@@ -211,11 +202,6 @@ def bufferize(
     it is cross-checked against the flat reuse offsets (see the module
     docstring).  Raises :class:`LoweringUnsupported` for constructs the
     lowering does not cover.
-
-    ``gather_limit`` picks eager vs chunked gather enumeration (it
-    never changes the emitted program — chunking is a converter
-    decision, so the sidecar stays deterministic across differently
-    configured nodes); only ``gather_hard_limit`` refuses.
     """
     domain = spec.iteration_domain
     grid = tuple(int(g) for g in spec.grid)
@@ -281,29 +267,19 @@ def bufferize(
         volume = 1
         for lo, hi in zip(lows, highs):
             volume *= max(hi - lo + 1, 0)
-        if volume > gather_hard_limit:
+        if volume > GATHER_HARD_LIMIT:
             raise LoweringUnsupported(
                 "gather_limit",
                 f"iteration domain bounding box holds {volume} points "
-                f"(> {gather_hard_limit}); too large to gather-lower "
-                "even chunked",
+                f"(> {GATHER_HARD_LIMIT}); too large to gather-lower",
             )
-        if volume > gather_limit:
-            # Chunked regime: count the domain vectorized — the
-            # pure-Python point walk of ``domain.count()`` would
-            # dominate the whole lowering at this size.
-            from .gather import count_points
-
-            n_outputs = count_points(domain)
-        else:
-            n_outputs = domain.count()
         program = BufferProgram(
             fingerprint=fingerprint,
             grid=grid,
             mode="gather",
             reads=reads,
             ops=ops,
-            n_outputs=n_outputs,
+            n_outputs=count_points(domain),
             domain=domain_to_json(domain),
             reuse_offsets=reuse,
             parts=parts,
@@ -315,8 +291,6 @@ def bufferize(
 def bufferize_plan(
     plan,
     spec: Optional[StencilSpec] = None,
-    gather_limit: int = GATHER_POINT_LIMIT,
-    gather_hard_limit: int = GATHER_HARD_LIMIT,
 ) -> BufferProgram:
     """Bufferize straight from a cached plan (the service entry point).
 
@@ -334,6 +308,4 @@ def bufferize_plan(
         offchip_streams=int(
             (plan.options or {}).get("offchip_streams", 1)
         ),
-        gather_limit=gather_limit,
-        gather_hard_limit=gather_hard_limit,
     )

@@ -42,11 +42,7 @@ import numpy as np
 
 from ..polyhedral.domain import domain_from_json
 from ..stencil.spec import StencilSpec
-from .bufferize import (
-    GATHER_HARD_LIMIT,
-    GATHER_POINT_LIMIT,
-    bufferize_plan,
-)
+from .bufferize import bufferize_plan
 from .gather import gather_base
 from .program import (
     BufferProgram,
@@ -79,7 +75,7 @@ class ConverterUnavailable(LoweringError):
     """
 
 
-#: name -> builder ``(program, gather_limit=...) -> kernel``.  Every
+#: name -> builder ``(program, artifact_dir=...) -> kernel``.  Every
 #: converter target consumes the same :class:`BufferProgram` and must
 #: honor the same bit-exactness contract; ``numpy`` is always present,
 #: others (``c``) register on import and may raise
@@ -195,11 +191,7 @@ class CompiledKernel:
     :func:`repro.stencil.expr.evaluate`.
     """
 
-    def __init__(
-        self,
-        program: BufferProgram,
-        gather_limit: int = GATHER_POINT_LIMIT,
-    ) -> None:
+    def __init__(self, program: BufferProgram) -> None:
         validate_program(program)
         self.program = program
         self.n_outputs = program.n_outputs
@@ -210,7 +202,8 @@ class CompiledKernel:
         strides = row_major_strides(self._grid)
         # One strip row is one grid row of the leading axis (box) or
         # one output point (gather); its budget share is the scratch
-        # slots plus the output.
+        # slots plus the output, and for gather also the gathered reads
+        # and the strip's index row.
         self._lane = strides[0] if program.mode == "box" else 1
         self._row_bytes = (self._n_slots + 1) * self._lane * 8
         if program.mode == "box":
@@ -224,40 +217,14 @@ class CompiledKernel:
             self._crop = (slice(None), slice(None)) + tuple(
                 slice(0, extent) for extent in shape[1:]
             )
-            return
-        domain = domain_from_json(program.domain)
-        lows, highs = domain.bounding_box()
-        volume = 1
-        for lo, hi in zip(lows, highs):
-            volume *= max(hi - lo + 1, 0)
-        if volume > gather_limit:
-            # Chunked regime: sweep the bounding box vectorized
-            # instead of walking every point in Python.
+        else:
             self._gather_base = gather_base(
-                domain, self._grid, program.reads, program.n_outputs,
+                domain_from_json(program.domain),
+                self._grid,
+                program.reads,
+                program.n_outputs,
             )
-            return
-        points = list(domain.iter_points())
-        if len(points) != program.n_outputs:
-            raise LoweringError(
-                f"gather domain yields {len(points)} points but "
-                f"the program claims {program.n_outputs}"
-            )
-        pts = np.asarray(points, dtype=np.int64).reshape(
-            -1, len(self._grid)
-        )
-        for read in program.reads:
-            shifted = pts + np.asarray(read.offset, dtype=np.int64)
-            if pts.size and (
-                (shifted < 0).any()
-                or (shifted >= np.asarray(self._grid)).any()
-            ):
-                raise LoweringUnsupported(
-                    "out_of_bounds",
-                    f"read {read.array}{list(read.offset)} leaves "
-                    "the grid over the gathered domain",
-                )
-        self._gather_base = pts @ np.asarray(strides, dtype=np.int64)
+            self._row_bytes += (len(self._flats) + 1) * 8
 
     #: opcode -> ufunc for the binary stack ops.  Each is the exact
     #: ufunc the plain operator dispatches to (``a + b`` IS
@@ -436,7 +403,9 @@ class CompiledKernel:
         ))
         width = rows * self._lane
         size = self._n_slots * batch * width
-        slots = _arena(size)[:size].reshape(self._n_slots, batch, width)
+        n_gathered = 0 if box else len(self._flats) * batch * width
+        arena = _arena(size + n_gathered + (0 if box else width))
+        slots = arena[:size].reshape(self._n_slots, batch, width)
         result = slots[self._result]
         with np.errstate(all="ignore"):
             if box:
@@ -455,13 +424,33 @@ class CompiledKernel:
                         :, :n * self._lane
                     ].reshape((batch, n) + self._grid[1:])[self._crop]
             else:
+                # Gathered reads and the strip's index row live in the
+                # arena too.  Read ``f`` of point ``p`` is
+                # ``flat[base[p] + f]``: shifting the index row by the
+                # lowest offset lets each read gather from a view that
+                # starts at its own (non-negative) shift.
+                gathered = arena[size:size + n_gathered].reshape(
+                    len(self._flats), batch, width
+                )
+                index = arena[size + n_gathered:][:width].view(np.int64)
+                lo = min(self._flats)
                 for p0 in range(0, self.n_outputs, rows):
-                    base = self._gather_base[p0:p0 + rows]
-                    self._stream(
-                        [flat[:, base + f] for f in self._flats],
-                        list(slots[:, :, :base.size]),
+                    n = min(rows, self.n_outputs - p0)
+                    idx = np.add(
+                        self._gather_base[p0:p0 + n], lo, out=index[:n]
                     )
-                    out[:, p0:p0 + base.size] = result[:, :base.size]
+                    for r, f in enumerate(self._flats):
+                        for b in range(batch):
+                            # mode="clip" avoids a buffered copy; the
+                            # indices are in bounds (``gather_base``).
+                            np.take(
+                                flat[b, f - lo:], idx,
+                                out=gathered[r, b, :n], mode="clip",
+                            )
+                    self._stream(
+                        list(gathered[:, :, :n]), list(slots[:, :, :n])
+                    )
+                    out[:, p0:p0 + n] = result[:, :n]
         return out
 
     def _stream(self, reads: List[np.ndarray], slots: List) -> None:
@@ -477,7 +466,6 @@ class CompiledKernel:
 @register_converter("numpy")
 def convert(
     program: BufferProgram,
-    gather_limit: int = GATHER_POINT_LIMIT,
     artifact_dir: Optional[str] = None,
 ) -> CompiledKernel:
     """Build the NumPy kernel for a (validated) buffer program.
@@ -486,14 +474,12 @@ def convert(
     signature; the NumPy target has nothing to persist.
     """
     del artifact_dir
-    return CompiledKernel(program, gather_limit=gather_limit)
+    return CompiledKernel(program)
 
 
 def kernel_from_plan(
     plan,
     spec: Optional[StencilSpec] = None,
-    gather_limit: int = GATHER_POINT_LIMIT,
-    gather_hard_limit: int = GATHER_HARD_LIMIT,
 ) -> Tuple[CompiledKernel, dict]:
     """Lower a cached plan end to end: ``(kernel, program_json)``.
 
@@ -502,10 +488,7 @@ def kernel_from_plan(
     the sidecar is corrupt and :class:`ProgramMismatchError` is raised
     (the caller evicts the plan and fails the request cleanly).
     """
-    fresh = bufferize_plan(
-        plan, spec=spec, gather_limit=gather_limit,
-        gather_hard_limit=gather_hard_limit,
-    )
+    fresh = bufferize_plan(plan, spec=spec)
     fresh_json = program_to_json(fresh)
     stored = getattr(plan, "buffer_program", None)
     if stored is not None:
@@ -521,4 +504,4 @@ def kernel_from_plan(
                 f"{plan.fingerprint[:12]} diverges from a fresh "
                 "lowering of the cached spec"
             )
-    return convert(fresh, gather_limit=gather_limit), fresh_json
+    return convert(fresh), fresh_json

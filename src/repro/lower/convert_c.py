@@ -51,7 +51,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bufferize import GATHER_POINT_LIMIT
 from .convert import CompiledKernel, ConverterUnavailable, register_converter
 from .program import BufferProgram, LoweringError, row_major_strides
 
@@ -169,7 +168,7 @@ def generate_source(program: BufferProgram) -> str:
 
     Box programs get a constant-bound loop nest over the output box;
     gather programs take the flat base-index row the Python side
-    enumerated (eagerly or chunked — the C side never cares) and loop
+    enumerated by the chunked sweep (:mod:`repro.lower.gather`) and loop
     over its points.  Read slots are grouped per stream part in the
     emitted comments, mirroring the per-stream sub-program structure.
     """
@@ -424,7 +423,7 @@ class CCompiledKernel(CompiledKernel):
     """A :class:`CompiledKernel` whose hot loop is generated C.
 
     Construction reuses the NumPy kernel's validation and gather
-    enumeration (so OOB refusals and the chunked base row behave
+    enumeration (so OOB refusals and the gather base row behave
     identically), then swaps the execution path: ``_run_chunk`` hands
     the contiguous batch straight to the dlopened library.  Falling
     back to NumPy execution is therefore a pure superclass call — the
@@ -434,7 +433,6 @@ class CCompiledKernel(CompiledKernel):
     def __init__(
         self,
         program: BufferProgram,
-        gather_limit: int = GATHER_POINT_LIMIT,
         artifact_dir: Optional[str] = None,
     ) -> None:
         try:
@@ -443,7 +441,7 @@ class CCompiledKernel(CompiledKernel):
             raise ConverterUnavailable(
                 "cffi is not importable; use converter='numpy'"
             ) from exc
-        super().__init__(program, gather_limit=gather_limit)
+        super().__init__(program)
         source = generate_source(program)
         source_digest = hashlib.sha256(
             source.encode("utf-8")
@@ -490,7 +488,6 @@ class CCompiledKernel(CompiledKernel):
 @register_converter("c")
 def convert_c(
     program: BufferProgram,
-    gather_limit: int = GATHER_POINT_LIMIT,
     artifact_dir: Optional[str] = None,
 ) -> CCompiledKernel:
     """Build the generated-C kernel for a (validated) buffer program.
@@ -498,6 +495,4 @@ def convert_c(
     Raises :class:`ConverterUnavailable` when cffi or a C toolchain is
     missing (the engine then degrades to the NumPy converter).
     """
-    return CCompiledKernel(
-        program, gather_limit=gather_limit, artifact_dir=artifact_dir
-    )
+    return CCompiledKernel(program, artifact_dir=artifact_dir)

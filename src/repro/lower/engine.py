@@ -38,11 +38,7 @@ import numpy as np
 from ..obs.tracing import span
 from ..stencil.golden import make_input
 from ..stencil.spec import StencilSpec
-from .bufferize import (
-    GATHER_HARD_LIMIT,
-    GATHER_POINT_LIMIT,
-    bufferize_plan,
-)
+from .bufferize import bufferize_plan
 from .convert import (
     CompiledKernel,
     ConverterUnavailable,
@@ -83,9 +79,7 @@ class LoweringConfig:
 
     The engine's kernel and unsupported-verdict memos are keyed on
     ``(fingerprint, config.key())`` — a verdict reached under one
-    gather limit or converter must never answer for another (the
-    PR-8-era memo keyed on fingerprint alone cached a ``gather_limit``
-    refusal forever, even after the limit was raised).
+    converter must never answer for another.
 
     ``artifact_dir`` is deliberately *not* part of the key: it decides
     where the C converter persists its build, never what the kernel
@@ -93,42 +87,30 @@ class LoweringConfig:
     """
 
     converter: str = "numpy"
-    gather_limit: int = GATHER_POINT_LIMIT
-    gather_hard_limit: int = GATHER_HARD_LIMIT
     artifact_dir: Optional[str] = None
 
     def key(self) -> Tuple:
-        return (
-            self.converter,
-            int(self.gather_limit),
-            int(self.gather_hard_limit),
-        )
+        return (self.converter,)
 
     def to_json(self) -> dict:
         """Wire encoding — the one lowering pass-through dict shared
         by pool job protocol and router node argv."""
-        out = {
-            "converter": self.converter,
-            "gather_limit": int(self.gather_limit),
-            "gather_hard_limit": int(self.gather_hard_limit),
-        }
+        out = {"converter": self.converter}
         if self.artifact_dir is not None:
             out["artifact_dir"] = str(self.artifact_dir)
         return out
 
     @classmethod
     def from_json(cls, data: Optional[dict]) -> "LoweringConfig":
-        """Parse the wire encoding; missing keys keep the defaults."""
+        """Parse the wire encoding; missing keys keep the defaults.
+
+        Unknown keys are ignored, so an older sender's
+        ``gather_limit`` / ``gather_hard_limit`` still parses.
+        """
         data = data or {}
         kwargs: Dict[str, object] = {}
         if data.get("converter"):
             kwargs["converter"] = str(data["converter"])
-        if data.get("gather_limit"):
-            kwargs["gather_limit"] = int(data["gather_limit"])
-        if data.get("gather_hard_limit"):
-            kwargs["gather_hard_limit"] = int(
-                data["gather_hard_limit"]
-            )
         if data.get("artifact_dir"):
             kwargs["artifact_dir"] = str(data["artifact_dir"])
         return cls(**kwargs)
@@ -207,11 +189,7 @@ class CompiledEngine:
                 "lower.bufferize", fingerprint=fp[:12],
                 benchmark=spec.name,
             ):
-                fresh = bufferize_plan(
-                    plan, spec=spec,
-                    gather_limit=cfg.gather_limit,
-                    gather_hard_limit=cfg.gather_hard_limit,
-                )
+                fresh = bufferize_plan(plan, spec=spec)
         except LoweringUnsupported as exc:
             self._remember(self._unsupported, key, exc)
             raise
@@ -239,11 +217,7 @@ class CompiledEngine:
             ):
                 try:
                     builder = get_converter(cfg.converter)
-                    kernel = builder(
-                        fresh,
-                        gather_limit=cfg.gather_limit,
-                        artifact_dir=cfg.artifact_dir,
-                    )
+                    kernel = builder(fresh, artifact_dir=cfg.artifact_dir)
                 except ConverterUnavailable as exc:
                     # Per-build degradation: the configured target
                     # cannot run here (no toolchain, no cffi, compile
@@ -251,9 +225,7 @@ class CompiledEngine:
                     # so use it and report why.
                     used = "numpy"
                     converter_fallback = str(exc)
-                    kernel = convert(
-                        fresh, gather_limit=cfg.gather_limit
-                    )
+                    kernel = convert(fresh)
         except LoweringUnsupported as exc:
             self._remember(self._unsupported, key, exc)
             raise

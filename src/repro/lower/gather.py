@@ -1,14 +1,10 @@
 """Lazy, chunked enumeration of gather domains.
 
-The eager gather path (:class:`repro.lower.convert.CompiledKernel`)
-walks the domain's points in Python (``domain.iter_points``) once per
-fingerprint, which is fine below
-:data:`~repro.lower.bufferize.GATHER_POINT_LIMIT` and too slow above
-it.
-
-This module is the chunked alternative.  The domain's bounding box is
-swept in row-major (ascending lexicographic) order in fixed-size
-chunks of :data:`GATHER_CHUNK_POINTS` flat indices; each chunk is
+This is the one enumeration of a gather (skewed) domain: bufferize
+counts its points here and every converter builds its flat base row
+here.  The domain's bounding box is swept in row-major (ascending
+lexicographic) order in fixed-size chunks of
+:data:`GATHER_CHUNK_POINTS` flat indices; each chunk is
 unraveled to coordinates, membership-tested *vectorized* against the
 polyhedron's ``A x <= b`` rows (or box bounds / union parts), and only
 the surviving flat grid indices are kept.  Because the sweep order is
@@ -18,7 +14,8 @@ happens, never a single output bit.
 
 Zohouri et al.'s combined-blocking argument (PAPERS.md) is the design
 driver: keep the working set a fixed-size block so the gather path
-stays cache-resident instead of being refused outright.
+stays cache-resident at every domain size.  Even on tiny domains the
+sweep beats a per-point Python walk (``domain.iter_points``).
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ __all__ = [
 
 #: Bounding-box flat indices tested per sweep step.  At 2^14 points a
 #: chunk's coordinate block plus one ``reads``-wide gather slab stays
-#: well inside L2 for any realistic read count.
+#: well inside L2 for any realistic read count.  Read at call time.
 GATHER_CHUNK_POINTS = 1 << 14
 
 
@@ -69,15 +66,13 @@ def membership_mask(domain, pts: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot membership-test domain {domain!r}")
 
 
-def iter_point_chunks(
-    domain, chunk_points: int = GATHER_CHUNK_POINTS
-) -> Iterator[np.ndarray]:
+def iter_point_chunks(domain) -> Iterator[np.ndarray]:
     """Yield ``(k, dim)`` int64 blocks of domain points, lex order.
 
     The concatenation of the yielded blocks is exactly
     ``list(domain.iter_points())`` — same points, same order — but no
-    more than ``chunk_points`` bounding-box candidates are ever live
-    at once.
+    more than :data:`GATHER_CHUNK_POINTS` bounding-box candidates are
+    ever live at once.
     """
     lows, highs = domain.bounding_box()
     lows_v = np.asarray(lows, dtype=np.int64)
@@ -87,8 +82,8 @@ def iter_point_chunks(
     if (extents <= 0).any():
         return
     volume = int(np.prod(extents))
-    for start in range(0, volume, chunk_points):
-        stop = min(start + chunk_points, volume)
+    for start in range(0, volume, GATHER_CHUNK_POINTS):
+        stop = min(start + GATHER_CHUNK_POINTS, volume)
         flat = np.arange(start, stop, dtype=np.int64)
         pts = np.empty((flat.size, len(lows)), dtype=np.int64)
         rem = flat
@@ -100,15 +95,10 @@ def iter_point_chunks(
             yield pts[mask]
 
 
-def count_points(
-    domain, chunk_points: int = GATHER_CHUNK_POINTS
-) -> int:
+def count_points(domain) -> int:
     """``domain.count()`` without the Python point walk (and without
     its enumeration limit — the caller bounds the bounding box)."""
-    return sum(
-        int(chunk.shape[0])
-        for chunk in iter_point_chunks(domain, chunk_points)
-    )
+    return sum(int(chunk.shape[0]) for chunk in iter_point_chunks(domain))
 
 
 def gather_base(
@@ -116,7 +106,6 @@ def gather_base(
     grid: Tuple[int, ...],
     reads,
     n_outputs: int,
-    chunk_points: int = GATHER_CHUNK_POINTS,
 ) -> np.ndarray:
     """Flat grid indices of every domain point, OOB-checked per read.
 
@@ -126,7 +115,7 @@ def gather_base(
     the full ``reads x points`` table.  Raises
     :class:`~repro.lower.program.LoweringUnsupported` (reason
     ``out_of_bounds``) when any read leaves the grid over the domain,
-    exactly like the eager path, and
+    and
     :class:`~repro.lower.program.LoweringError` when the enumeration
     disagrees with the program's claimed output count.
     """
@@ -140,7 +129,7 @@ def gather_base(
     strides = np.asarray(row_major_strides(grid), dtype=np.int64)
     pieces: List[np.ndarray] = []
     total = 0
-    for pts in iter_point_chunks(domain, chunk_points):
+    for pts in iter_point_chunks(domain):
         for read in reads:
             shifted = pts + np.asarray(read.offset, dtype=np.int64)
             if (shifted < 0).any() or (shifted >= grid_v).any():
@@ -153,7 +142,7 @@ def gather_base(
         total += pts.shape[0]
     if total != n_outputs:
         raise LoweringError(
-            f"chunked gather enumeration yields {total} points but "
+            f"gather enumeration yields {total} points but "
             f"the program claims {n_outputs}"
         )
     if not pieces:

@@ -305,8 +305,10 @@ def format_service_metrics(snapshot: dict) -> str:
         for key, value in gauges.items()
         if _split_key(key)[0] == "service_breaker_state" and value >= 1
     )
+    isolated = counters.get("service_pool_isolated_total")
     pool_pairs = (
         [(f"jobs_{k}", fmt(v)) for k, v in sorted(jobs.items())]
+        + ([("isolated_items", fmt(isolated))] if isolated else [])
         + [
             (f"restarts_{k}", fmt(v))
             for k, v in sorted(restarts.items())

@@ -104,22 +104,13 @@ class ServiceConfig:
     lease_ttl_s: float = 120.0
     worker_mode: str = "thread"  # "thread" | "process"
     backend: str = "interpreted"  # "interpreted" | "compiled"
-    #: The one carrier of every lowering knob (converter, gather
-    #: limits, artifact dir).  Normally derived in ``__post_init__``
-    #: from the legacy convenience fields below plus ``cache_dir``;
-    #: pass an explicit :class:`LoweringConfig` to set everything in
-    #: one place (the legacy fields are then overwritten to mirror it).
+    #: The one carrier of every lowering knob (converter, artifact
+    #: dir).  Normally derived in ``__post_init__`` from the legacy
+    #: ``converter`` field below plus ``cache_dir``; pass an explicit
+    #: :class:`LoweringConfig` to set everything in one place
+    #: (``converter`` is then overwritten to mirror it).
     lowering: Optional[LoweringConfig] = None
     converter: str = "numpy"  # "numpy" | "c" (compiled backend only)
-    #: Gather domains whose bounding box exceeds this many points are
-    #: lowered chunked instead of eagerly tabulated.  ``None`` keeps
-    #: the library default (:data:`repro.lower.GATHER_POINT_LIMIT`);
-    #: benches and CI set it low to exercise chunking on small grids.
-    gather_limit: Optional[int] = None
-    #: Refuse to lower gather domains whose bounding box exceeds this
-    #: many points (fallback reason ``gather_limit``).  ``None`` keeps
-    #: the library default (:data:`repro.lower.GATHER_HARD_LIMIT`).
-    gather_hard_limit: Optional[int] = None
     breaker_threshold: int = 3  # lethal events before the circuit opens
     breaker_cooldown_s: float = 5.0
     hang_timeout_s: float = 60.0  # unresponsive-worker kill deadline
@@ -134,7 +125,7 @@ class ServiceConfig:
             )
         if self.lowering is None:
             # Derive the single carrier from the legacy convenience
-            # fields (validated first so the error messages stay
+            # field (validated first so the error message stays
             # field-specific).
             if self.converter not in LOWER_CONVERTERS:
                 raise ValueError(
@@ -142,26 +133,7 @@ class ServiceConfig:
                     f"{', '.join(repr(n) for n in LOWER_CONVERTERS)}, "
                     f"got {self.converter!r}"
                 )
-            if self.gather_limit is not None and self.gather_limit < 1:
-                raise ValueError(
-                    f"gather_limit must be positive, got "
-                    f"{self.gather_limit!r}"
-                )
-            if (
-                self.gather_hard_limit is not None
-                and self.gather_hard_limit < 1
-            ):
-                raise ValueError(
-                    f"gather_hard_limit must be positive, got "
-                    f"{self.gather_hard_limit!r}"
-                )
             kwargs = {"converter": self.converter}
-            if self.gather_limit is not None:
-                kwargs["gather_limit"] = int(self.gather_limit)
-            if self.gather_hard_limit is not None:
-                kwargs["gather_hard_limit"] = int(
-                    self.gather_hard_limit
-                )
             if self.cache_dir:
                 # The plan cache's directory doubles as the converter
                 # artifact directory (<fp>.c.so sits next to the plan
@@ -191,24 +163,12 @@ class ServiceConfig:
                     "lowering",
                     LoweringConfig(
                         converter=self.lowering.converter,
-                        gather_limit=self.lowering.gather_limit,
-                        gather_hard_limit=(
-                            self.lowering.gather_hard_limit
-                        ),
                         artifact_dir=str(self.cache_dir),
                     ),
                 )
-            # Keep the legacy mirror fields consistent for readers.
+            # Keep the legacy mirror field consistent for readers.
             object.__setattr__(
                 self, "converter", self.lowering.converter
-            )
-            object.__setattr__(
-                self, "gather_limit", self.lowering.gather_limit
-            )
-            object.__setattr__(
-                self,
-                "gather_hard_limit",
-                self.lowering.gather_hard_limit,
             )
         if self.worker_mode not in ("thread", "process"):
             raise ValueError(

@@ -25,7 +25,9 @@ and the blast radius is exactly one worker:
   (its cache entry is also evicted as suspect), gets fast structured
   ``circuit_open`` rejections for a cooldown, then a half-open probe
   decides between closing the breaker and re-opening it.  Other
-  fingerprints keep serving throughout.
+  fingerprints keep serving throughout.  A batched job that dies is
+  charged to no one: its items re-run alone, so one poisoned request
+  never quarantines the requests it was batched with.
 
 The wire protocol between the parent and a worker is JSON-safe dicts
 over a ``multiprocessing.Pipe``: specs, options and plans already have
@@ -599,8 +601,8 @@ class ProcessPlanExecutor(ExecutorBase):
         self.hang_timeout_s = hang_timeout_s
         self.chaos = chaos
         # The backend: workers are generic, so each job carries the
-        # lowering config (converter, gather limits, artifact dir) its
-        # kernels come from, or None to run interpreted.
+        # lowering config (converter, artifact dir) its kernels come
+        # from, or None to run interpreted.
         self.lowering = lowering
         self._lowering_json = (
             None if lowering is None else lowering.to_json()
@@ -876,12 +878,22 @@ class ProcessPlanExecutor(ExecutorBase):
                     pass
                 return "died", None
 
-    def _execute(self, live: List[WorkItem], shard: _WorkerShard) -> None:
+    def _execute(
+        self,
+        live: List[WorkItem],
+        shard: _WorkerShard,
+        rerun: bool = False,
+    ) -> None:
         """One group's worker round trip.
 
         The breaker stays keyed on the request/workload fingerprint (a
         pipeline that kills workers quarantines as one unit), while
         plan-cache traffic happens per stage fingerprint.
+
+        A batched job dies (or hangs) as one, whichever item caused
+        it, so it charges nobody: each item re-runs alone on the same
+        attempt number (``rerun``), and only an item that is lethal by
+        itself charges the breaker and its retry budget.
         """
         exemplar = live[0]
         fp = exemplar.fingerprint
@@ -912,7 +924,8 @@ class ProcessPlanExecutor(ExecutorBase):
         plans, outcome, lookup_ms = looked
         execs = []
         for item in live:
-            item.attempts += 1
+            if not rerun:
+                item.attempts += 1
             validate = self._should_validate(item)
             if validate:
                 self.registry.counter("service_validation_total").inc()
@@ -979,6 +992,19 @@ class ProcessPlanExecutor(ExecutorBase):
             reason = (
                 "worker_death" if status == "died" else "worker_hang"
             )
+            if len(live) > 1:
+                self.registry.counter(
+                    "service_pool_jobs_total", {"outcome": reason}
+                ).inc()
+                self.registry.counter("service_pool_isolated_total").inc(
+                    len(live)
+                )
+                for item in live:
+                    if item.expired():
+                        self._resolve_timeout(item)
+                    else:
+                        self._execute([item], shard, rerun=True)
+                return
             self._record_lethal(fp, reason)
             for item in live:
                 if item.expired():

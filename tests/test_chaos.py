@@ -266,6 +266,109 @@ class TestWorkerFaultCampaigns:
         assert gauge == 1  # open
 
 
+def _submit_behind_blocker(svc, ids, seeds):
+    """Submit a slowed DENOISE blocker, then SOBEL requests ``ids``.
+
+    With one worker the SOBEL requests queue behind the blocker and
+    reach the worker as one batched job.
+    """
+    blocker = svc.submit(
+        {"proto": 1, "id": "blocker", "benchmark": "DENOISE",
+         "grid": [12, 16]}
+    )
+    slots = [
+        svc.submit(
+            {"proto": 1, "id": rid, "benchmark": "SOBEL",
+             "grid": [10, 12], "seed": seed}
+        )
+        for rid, seed in zip(ids, seeds)
+    ]
+    assert blocker.result(90.0).status == "ok"
+    return [slot.result(90.0) for slot in slots]
+
+
+class TestBatchedFaultIsolation:
+    """A batched job dies as one; only a solo-lethal item is charged."""
+
+    IDS = [f"batch-{k}" for k in range(6)]
+    POISON = "batch-2"
+
+    def chaos_for(self):
+        """The first seed where the blocker is slowed, the poisoner is
+        killed on both of its attempts and nobody else is killed."""
+        for seed in range(100_000):
+            inj = ChaosInjector(
+                ChaosConfig(seed=seed, kill_rate=0.3, slow_rate=0.3)
+            )
+            if (
+                inj.decision("blocker", 1) == "slow"
+                and inj.decision(self.POISON, 1) == "kill"
+                and inj.decision(self.POISON, 2) == "kill"
+                and all(
+                    inj.decision(rid, 1) != "kill"
+                    for rid in self.IDS
+                    if rid != self.POISON
+                )
+            ):
+                return ChaosConfig(
+                    seed=seed, kill_rate=0.3, slow_rate=0.3,
+                    slow_ms=300.0,
+                )
+        raise AssertionError("no seed isolates one poisoner")
+
+    def test_one_poisoned_item_does_not_sink_its_group(self):
+        spec = small_spec(SOBEL)
+        fp = fingerprint(spec, CompileOptions())
+        with chaos_service(
+            self.chaos_for(), workers=1, max_batch=8, max_retries=1,
+            breaker_threshold=3,
+        ) as svc:
+            replies = _submit_behind_blocker(
+                svc, self.IDS, range(len(self.IDS))
+            )
+            state = svc.executor.breaker_state(fp)
+            snap = svc.metrics.snapshot()
+        for k, (rid, reply) in enumerate(zip(self.IDS, replies)):
+            if rid == self.POISON:
+                # Killed alone on both attempts: its budget is spent.
+                assert reply.status == "error"
+                assert reply.attempts == 2
+            else:
+                assert reply.status == "ok", (rid, reply.status)
+                assert reply.checksum == golden_checksum(spec, seed=k)
+                assert reply.attempts == 1
+        assert state == "closed"
+        assert snap["counters"]["service_pool_isolated_total"] >= 2
+
+    def test_lethal_fingerprint_trips_within_threshold_solo_runs(self):
+        spec = small_spec(SOBEL)
+        fp = fingerprint(spec, CompileOptions())
+        chaos = ChaosConfig(
+            lethal_fingerprints=(fp,), slow_rate=1.0, slow_ms=300.0
+        )
+        threshold = 3
+        with chaos_service(
+            chaos, workers=1, max_batch=8, max_retries=8,
+            breaker_threshold=threshold, breaker_cooldown_s=60.0,
+        ) as svc:
+            replies = _submit_behind_blocker(
+                svc, self.IDS, range(len(self.IDS))
+            )
+            state = svc.executor.breaker_state(fp)
+            snap = svc.metrics.snapshot()
+        counters = snap["counters"]
+        assert all(
+            r.status in ("error", "circuit_open") for r in replies
+        )
+        assert state == "open"
+        # The batched job was isolated, and the breaker opened after
+        # ``threshold`` solo deaths: one batched death plus those.
+        assert counters["service_pool_isolated_total"] == len(self.IDS)
+        assert counters[
+            'service_worker_restarts_total{reason="death"}'
+        ] == threshold + 1
+
+
 @pytest.fixture(scope="module")
 def denoise_plan():
     spec = small_spec(DENOISE)

@@ -20,6 +20,7 @@ Everything replays from ``FUZZ_SEED``; a failure message names the
 spec's case index so one case can be re-run in isolation.
 """
 
+import importlib
 import random
 
 import numpy as np
@@ -203,7 +204,7 @@ STREAM_CASES = 8
 MULTI_CASES = 6
 
 
-def _compiled_digest(spec, seed, streams=1, gather_limit=None):
+def _compiled_digest(spec, seed, streams=1):
     """SHA-256 of the lowered kernel's output row (the service's
     compiled path in miniature: plan -> bufferize -> convert -> run)."""
     import hashlib
@@ -217,11 +218,7 @@ def _compiled_digest(spec, seed, streams=1, gather_limit=None):
 
     opts = CompileOptions(offchip_streams=streams)
     plan = compile_plan(spec, opts, fingerprint(spec, opts))
-    program = bufferize_plan(plan)
-    kwargs = {} if gather_limit is None else {
-        "gather_limit": gather_limit
-    }
-    kernel = convert(program, **kwargs)
+    kernel = convert(bufferize_plan(plan))
     row = _np.ascontiguousarray(
         kernel.run(make_input(spec, seed=seed)), dtype=_np.float64
     )
@@ -279,17 +276,25 @@ _SKEWED = _skewed_cases()
     _SKEWED,
     ids=[f"skew{k}" for k, _ in _SKEWED],
 )
-def test_random_skewed_spec_compiled_matches_interpreted(index, spec):
+def test_random_skewed_spec_compiled_matches_interpreted(
+    index, spec, monkeypatch
+):
     """Three-way differential on random skewed domains: the compiled
-    kernel (eager AND chunked gather) must emit byte-for-byte what the
-    interpreted path emits, which in turn is the golden sequence."""
+    kernel, its domain swept in one chunk AND in many tiny ones, must
+    emit byte-for-byte what the interpreted path emits, which in turn
+    is the golden sequence."""
     golden = _interpreted_digest(spec, seed=index)
     assert _compiled_digest(spec, seed=index) == golden, (
-        f"skewed case {index}: eager compiled digest diverges"
+        f"skewed case {index}: compiled digest diverges"
     )
-    assert _compiled_digest(spec, seed=index, gather_limit=2) == (
-        golden
-    ), f"skewed case {index}: chunked compiled digest diverges"
+    monkeypatch.setattr(
+        importlib.import_module("repro.lower.gather"),
+        "GATHER_CHUNK_POINTS",
+        3,
+    )
+    assert _compiled_digest(spec, seed=index) == golden, (
+        f"skewed case {index}: multi-chunk compiled digest diverges"
+    )
 
 
 _STREAMABLE = [

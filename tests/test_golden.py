@@ -1,5 +1,7 @@
 """Unit tests for the golden NumPy executor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,26 @@ class TestMakeInput:
         assert not np.array_equal(
             make_input(spec, seed=1), make_input(spec, seed=2)
         )
+
+    def test_allocates_one_grid(self):
+        """The uniform draw is already float64, so the grid is that
+        draw itself, not a second copy of it."""
+        spec = SOBEL.with_grid((512, 512))
+        make_input(spec)
+        tracemalloc.start()
+        try:
+            grid = make_input(spec, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.dtype == np.float64
+        assert peak <= grid.nbytes + 64 * 1024, peak
+
+    def test_other_dtypes_still_convert(self):
+        spec = small_spec(DENOISE)
+        grid = make_input(spec, dtype=np.float32)
+        assert grid.dtype == np.float32
+        assert np.array_equal(grid, make_input(spec).astype(np.float32))
 
 
 class TestRunGolden:

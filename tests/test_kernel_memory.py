@@ -21,7 +21,7 @@ from repro.lower import bufferize_plan, convert
 from repro.service.executor import compile_plan, run_stages
 from repro.service.fingerprint import CompileOptions, fingerprint
 from repro.stencil import make_input
-from repro.stencil.kernels import get_benchmark
+from repro.stencil.kernels import get_benchmark, skewed_denoise
 
 from test_execution_core import compiled_chain, iterate
 
@@ -67,6 +67,32 @@ class TestAllocations:
         assert peak - before <= row.nbytes + SLACK_BYTES, (
             f"peak {peak - before} B for a {row.nbytes} B output"
         )
+
+    def test_warm_gather_run_allocates_only_its_output(self):
+        """A skewed (gather) kernel gathers its reads and builds each
+        strip's index row inside the arena too, so a warm run touches
+        no fresh memory besides its output."""
+        spec = skewed_denoise(200, 300)
+        opts = CompileOptions()
+        kernel = convert(
+            bufferize_plan(compile_plan(spec, opts, fingerprint(spec, opts)))
+        )
+        assert kernel.program.mode == "gather"
+        grid = make_input(spec, 7)
+        for _ in range(2):
+            kernel.run(grid)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            row = kernel.run(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= row.nbytes + SLACK_BYTES, (
+            f"peak {peak - before} B for a {row.nbytes} B output"
+        )
+        assert arena_bytes() <= convert_module.STREAM_BUDGET_BYTES
 
     def test_rows_stay_owned_while_the_arena_is_reused(self):
         sobel, sobel_grid = numpy_kernel("SOBEL", (64, 64))

@@ -7,7 +7,9 @@ same bytes), and anything it cannot lower must refuse loudly
 path instead of answering wrong.
 """
 
+import dataclasses
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -34,6 +36,28 @@ from repro.stencil.extra_kernels import EXTRA_BENCHMARKS
 from repro.stencil.spec import StencilSpec, StencilWindow
 
 from conftest import SMALL_GRIDS, small_spec
+
+bufferize_module = importlib.import_module("repro.lower.bufferize")
+gather_module = importlib.import_module("repro.lower.gather")
+
+#: SHA-256 of the sorted-key program JSON of ``skewed_denoise(rows,
+#: cols)`` at ``offchip_streams``, as emitted before the gather
+#: enumeration became one chunked sweep: the sidecars a cache already
+#: holds must keep matching a fresh lowering.
+SKEWED_PROGRAM_DIGESTS = {
+    (4, 5, 1): "7ed271e0a6e779d9b5200be75735ed4a"
+               "7eeb26018e9bf96e33ab281d2b4dd545",
+    (8, 10, 1): "91fc3b3a6ec031bb5150e4ffda9a4d69"
+                "a6a28ecac9c4205f2d3c825a201f479f",
+    (9, 7, 1): "70a3f65e7ca8817c81eef2719e055043"
+               "43962283ea8a9ea8605c412ef681e026",
+    (12, 16, 1): "5561c58e6d390afa635067cdd4bf717b"
+                 "5949826ed2790d7a9e890fb6736bdef8",
+    (64, 80, 1): "13cf6fc771620b8a0d23553d86d9e17e"
+                 "bfcf5a21df9a6caaedbf9008be87902c",
+    (8, 10, 2): "2b50fbf3c61877d776b9dad9aebf4f95"
+                "9000ae0b9325b7aef1e545c2ad3fb904",
+}
 
 #: Small grids for the extra kernels (3D ones especially).
 EXTRA_SMALL = {
@@ -115,22 +139,32 @@ class TestBufferize:
             bufferize(denoise_small, fp, offchip_streams=99)
         assert excinfo.value.reason == "multi_stream"
 
-    def test_gather_hard_limit_is_unsupported(self):
+    def test_gather_hard_limit_is_unsupported(self, monkeypatch):
         spec = skewed_denoise(rows=8, cols=10)
         fp = fingerprint(spec, CompileOptions())
+        monkeypatch.setattr(bufferize_module, "GATHER_HARD_LIMIT", 4)
         with pytest.raises(LoweringUnsupported) as excinfo:
-            bufferize(spec, fp, gather_hard_limit=4)
+            bufferize(spec, fp)
         assert excinfo.value.reason == "gather_limit"
 
-    def test_gather_limit_never_changes_the_program(self):
-        """Chunking is a converter decision: the emitted program (and
-        therefore the persisted sidecar) is identical whether the
-        gather domain is enumerated eagerly or chunked."""
-        spec = skewed_denoise(rows=8, cols=10)
-        fp = fingerprint(spec, CompileOptions())
-        eager = program_to_json(bufferize(spec, fp))
-        chunked = program_to_json(bufferize(spec, fp, gather_limit=4))
-        assert eager == chunked
+    @pytest.mark.parametrize(
+        "rows,cols,streams", sorted(SKEWED_PROGRAM_DIGESTS)
+    )
+    def test_skewed_programs_are_byte_identical(
+        self, monkeypatch, rows, cols, streams
+    ):
+        """The gather sweep emits the same program, byte for byte, as
+        before it became the only enumeration — at any sweep chunk
+        size, so multi-chunk sweeps are covered too."""
+        plan, _, _ = plan_for(skewed_denoise(rows, cols), streams)
+        for chunk in (gather_module.GATHER_CHUNK_POINTS, 7):
+            monkeypatch.setattr(gather_module, "GATHER_CHUNK_POINTS", chunk)
+            text = json.dumps(
+                program_to_json(bufferize_plan(plan)), sort_keys=True
+            )
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                SKEWED_PROGRAM_DIGESTS[(rows, cols, streams)]
+            ), chunk
 
     def test_out_of_bounds_reads_are_unsupported(self):
         """A domain whose window reaches past the grid edge must not
@@ -259,24 +293,22 @@ class TestBitIdentity:
             _, _, golden_digest = execute_stencil(denoise_small, seed)
             assert digest == golden_digest
 
-    def test_chunked_gather_matches_eager(self):
-        """Forcing the chunked regime (tiny gather_limit) replays the
-        gather table chunk by chunk and still reproduces the eager
-        kernel bit for bit."""
+    def test_gather_kernel_matches_golden(self, monkeypatch):
+        """The skewed kernel reproduces the golden digest whether the
+        sweep enumerates its domain in one chunk or in many."""
         spec = skewed_denoise(rows=8, cols=10)
         plan, _, _ = plan_for(spec)
-        program = bufferize_plan(plan)
-        eager = convert(program)
-        chunked = convert(program, gather_limit=4)
-        grid = make_input(spec, seed=3)
-        assert np.array_equal(chunked.run(grid), eager.run(grid))
-        digest = hashlib.sha256(
-            np.ascontiguousarray(
-                chunked.run(grid), dtype=np.float64
-            ).tobytes()
-        ).hexdigest()
         _, _, golden_digest = execute_stencil(spec, 3)
-        assert digest == golden_digest
+        for chunk in (gather_module.GATHER_CHUNK_POINTS, 4):
+            monkeypatch.setattr(gather_module, "GATHER_CHUNK_POINTS", chunk)
+            kernel = convert(bufferize_plan(plan))
+            digest = hashlib.sha256(
+                np.ascontiguousarray(
+                    kernel.run(make_input(spec, seed=3)),
+                    dtype=np.float64,
+                ).tobytes()
+            ).hexdigest()
+            assert digest == golden_digest, chunk
 
     def test_batch_rows_match_single_runs(self, denoise_small):
         plan, _, _ = plan_for(denoise_small)
@@ -299,32 +331,37 @@ class TestEngine:
         assert not second.built
         assert second.kernel is first.kernel
 
-    def test_unsupported_verdict_is_cached(self):
-        spec = skewed_denoise(rows=8, cols=10)
-        plan, _, _ = plan_for(spec)
-        tight = LoweringConfig(gather_limit=2, gather_hard_limit=4)
-        engine = CompiledEngine(config=tight)
-        for _ in range(2):
-            with pytest.raises(LoweringUnsupported):
-                engine.kernel_for(plan)
-
-    def test_unsupported_memo_is_keyed_on_config(self):
-        """Regression: the engine once memoized LoweringUnsupported by
-        fingerprint alone, so a refusal under one lowering config
-        (tiny gather hard limit) poisoned every other config of the
-        same plan for the life of the engine."""
+    def test_unsupported_verdict_is_cached(self, monkeypatch):
         spec = skewed_denoise(rows=8, cols=10)
         plan, _, _ = plan_for(spec)
         engine = CompiledEngine()
-        tight = LoweringConfig(gather_limit=2, gather_hard_limit=4)
+        monkeypatch.setattr(bufferize_module, "GATHER_HARD_LIMIT", 4)
         with pytest.raises(LoweringUnsupported):
-            engine.kernel_for(plan, config=tight)
+            engine.kernel_for(plan)
+        # The verdict answers from the memo, without re-lowering.
+        monkeypatch.undo()
+        with pytest.raises(LoweringUnsupported):
+            engine.kernel_for(plan)
+
+    def test_unsupported_memo_is_keyed_on_config(self, monkeypatch):
+        """Regression: the engine once memoized LoweringUnsupported by
+        fingerprint alone, so a refusal under one lowering config
+        poisoned every other config of the same plan for the life of
+        the engine."""
+        spec = skewed_denoise(rows=8, cols=10)
+        plan, _, _ = plan_for(spec)
+        engine = CompiledEngine()
+        refused = LoweringConfig(converter="c")
+        monkeypatch.setattr(bufferize_module, "GATHER_HARD_LIMIT", 4)
+        with pytest.raises(LoweringUnsupported):
+            engine.kernel_for(plan, config=refused)
+        monkeypatch.undo()
         # The default config must still lower this plan.
         result = engine.kernel_for(plan)
         assert result.built
-        # ... and the tight config's verdict survives alongside it.
+        # ... and the refused config's verdict survives alongside it.
         with pytest.raises(LoweringUnsupported):
-            engine.kernel_for(plan, config=tight)
+            engine.kernel_for(plan, config=refused)
 
     def test_recently_hit_kernel_survives_eviction(self, denoise_small):
         """The kernel memo is an LRU: a kernel hit between inserts
@@ -335,29 +372,47 @@ class TestEngine:
         engine = CompiledEngine()
         hot = engine.kernel_for(plan)
         for k in range(KERNEL_MEMO_ENTRIES + 1):
-            # Each config key is one more memo entry for the same plan.
+            # Each fingerprint is one more memo entry for the same
+            # plan content.
             engine.kernel_for(
-                plan, config=LoweringConfig(gather_limit=10**6 + k)
+                dataclasses.replace(plan, fingerprint=f"{k:064x}")
             )
             again = engine.kernel_for(plan)
             assert not again.built, f"hot kernel evicted after {k + 1}"
             assert again.kernel is hot.kernel
         assert len(engine._kernels) == KERNEL_MEMO_ENTRIES
 
-    def test_unsupported_memo_is_bounded(self):
+    def test_unsupported_memo_is_bounded(self, monkeypatch):
         from repro.lower.engine import KERNEL_MEMO_ENTRIES
 
         plan, _, _ = plan_for(skewed_denoise(rows=8, cols=10))
         engine = CompiledEngine()
+        monkeypatch.setattr(bufferize_module, "GATHER_HARD_LIMIT", 4)
         for k in range(KERNEL_MEMO_ENTRIES + 1):
             with pytest.raises(LoweringUnsupported):
                 engine.kernel_for(
-                    plan,
-                    config=LoweringConfig(
-                        gather_limit=2 + k, gather_hard_limit=4
-                    ),
+                    dataclasses.replace(plan, fingerprint=f"{k:064x}")
                 )
         assert len(engine._unsupported) <= KERNEL_MEMO_ENTRIES
+
+    def test_old_lowering_json_builds_the_same_kernel(self):
+        """An older sender's lowering JSON still carries the retired
+        ``gather_limit`` / ``gather_hard_limit`` keys: they are ignored
+        and the kernel is the default config's, bit for bit."""
+        old = LoweringConfig.from_json(
+            {"converter": "numpy", "gather_limit": 256,
+             "gather_hard_limit": 1 << 24}
+        )
+        assert old == LoweringConfig()
+        assert old.to_json() == {"converter": "numpy"}
+        spec = skewed_denoise(rows=8, cols=10)
+        plan, _, _ = plan_for(spec)
+        grid = make_input(spec, seed=3)
+        rows = [
+            CompiledEngine(config=cfg).kernel_for(plan).kernel.run(grid)
+            for cfg in (old, LoweringConfig())
+        ]
+        assert rows[0].tobytes() == rows[1].tobytes()
 
     def test_multi_stream_kernel_is_memoized(self, denoise_small):
         plan, _, _ = plan_for(denoise_small, streams=2)

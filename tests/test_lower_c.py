@@ -9,6 +9,7 @@ NumPy kernel instead, recording the downgrade.
 """
 
 import hashlib
+import importlib
 import os
 
 import numpy as np
@@ -41,6 +42,8 @@ from repro.stencil.expr import (
 )
 
 from conftest import SMALL_GRIDS, small_spec
+
+gather_module = importlib.import_module("repro.lower.gather")
 
 needs_cc = pytest.mark.skipif(
     c_toolchain() is None, reason="no C toolchain on this machine"
@@ -117,16 +120,16 @@ class TestCBitIdentity:
         _, _, golden = execute_stencil(denoise_small, 3)
         assert hashlib.sha256(row.tobytes()).hexdigest() == golden
 
-    @pytest.mark.parametrize("gather_limit", [None, 4])
-    def test_gather_matches_numpy(self, gather_limit):
+    @pytest.mark.parametrize("sweep", [None, 4])
+    def test_gather_matches_numpy(self, monkeypatch, sweep):
+        """Same base row, same bits: the domain swept in one chunk
+        (``None``) or in chunks of ``sweep`` points."""
+        if sweep is not None:
+            monkeypatch.setattr(gather_module, "GATHER_CHUNK_POINTS", sweep)
         spec = skewed_denoise(rows=8, cols=10)
         program = bufferize_plan(plan_for(spec))
-        kwargs = (
-            {} if gather_limit is None
-            else {"gather_limit": gather_limit}
-        )
-        ck = CCompiledKernel(program, **kwargs)
-        nk = convert(program, **kwargs)
+        ck = CCompiledKernel(program)
+        nk = convert(program)
         grid = make_input(spec, seed=3)
         assert np.array_equal(ck.run(grid), nk.run(grid))
         _, _, golden = execute_stencil(spec, 3)

@@ -49,6 +49,7 @@ CAMPAIGN_SEED = 20140605
 
 # The module, not the ``convert`` function the package re-exports.
 convert_module = importlib.import_module("repro.lower.convert")
+gather_module = importlib.import_module("repro.lower.gather")
 
 
 def random_spec(rng: random.Random, ndim: int) -> StencilSpec:
@@ -75,16 +76,12 @@ def compiled_outputs(
     spec: StencilSpec,
     grid: np.ndarray,
     streams: int = 1,
-    gather_limit=None,
     converter: str = "numpy",
 ) -> np.ndarray:
     opts = CompileOptions(offchip_streams=streams)
     plan = compile_plan(spec, opts, fingerprint(spec, opts))
     program = bufferize_plan(plan)
-    kwargs = {} if gather_limit is None else {
-        "gather_limit": gather_limit
-    }
-    kernel = get_converter(converter)(program, **kwargs)
+    kernel = get_converter(converter)(program)
     return np.ascontiguousarray(kernel.run(grid), dtype=np.float64)
 
 
@@ -146,18 +143,22 @@ class TestSkewedDomains:
         grid = make_input(spec, seed=rows * cols)
         assert_three_way_exact(spec, grid)
 
-    @pytest.mark.parametrize("rows,cols", [(6, 8), (9, 7)])
-    def test_chunked_gather_matches_eager_and_golden(self, rows, cols):
-        """Forcing chunked gather replay (tiny limit) must not change
-        a single output bit relative to the eager table or golden."""
+    @pytest.mark.parametrize("rows,cols", [(6, 8), (9, 7), (5, 11)])
+    def test_multi_chunk_sweep_matches_golden(
+        self, monkeypatch, rows, cols
+    ):
+        """Sweeping the domain in many tiny chunks must not change a
+        single output bit relative to golden."""
         spec = skewed_denoise(rows=rows, cols=cols)
         grid = make_input(spec, seed=rows + cols)
         golden = np.asarray(
             golden_output_sequence(spec, grid), dtype=np.float64
         )
-        chunked = compiled_outputs(spec, grid, gather_limit=2)
-        assert np.array_equal(chunked, golden)
-        assert np.array_equal(chunked, compiled_outputs(spec, grid))
+        for chunk in (2, 13):
+            monkeypatch.setattr(gather_module, "GATHER_CHUNK_POINTS", chunk)
+            assert np.array_equal(
+                compiled_outputs(spec, grid), golden
+            ), chunk
 
 
 class TestMultiStream:
@@ -356,23 +357,22 @@ class TestStripMinedReplay:
         assert (rows == want).all()
         assert len(strips) == -(-10 // strip_rows)
 
-    @pytest.mark.parametrize("gather_limit", [None, 2])
+    @pytest.mark.parametrize("sweep", [None, 2])
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_gather_chunks_share_the_executor(
-        self, monkeypatch, gather_limit, chunk
+        self, monkeypatch, sweep, chunk
     ):
         """Skewed (gather) programs stream point chunks sized by the
-        same budget through the same plan, eager or chunked build."""
+        same budget through the same plan, whether the domain sweep
+        built the base row in one chunk or many."""
+        if sweep is not None:
+            monkeypatch.setattr(gather_module, "GATHER_CHUNK_POINTS", sweep)
         spec = skewed_denoise(rows=7, cols=9)
         opts = CompileOptions()
         program = bufferize_plan(
             compile_plan(spec, opts, fingerprint(spec, opts))
         )
-        kernel = convert(
-            program, **({} if gather_limit is None else {
-                "gather_limit": gather_limit
-            })
-        )
+        kernel = convert(program)
         assert program.mode == "gather"
         grids = [make_input(spec, seed) for seed in (1, 2)]
         grids[1].reshape(-1)[::4] = -0.0
@@ -403,22 +403,17 @@ class TestCConverterDiff:
             compiled_outputs(spec, grid, converter="c"), golden
         )
 
-    def test_c_skewed_gather_exact(self):
+    def test_c_skewed_gather_exact(self, monkeypatch):
         spec = skewed_denoise(rows=7, cols=9)
         grid = make_input(spec, seed=63)
         golden = np.asarray(
             golden_output_sequence(spec, grid), dtype=np.float64
         )
-        for gather_limit in (None, 2):
+        for chunk in (gather_module.GATHER_CHUNK_POINTS, 2):
+            monkeypatch.setattr(gather_module, "GATHER_CHUNK_POINTS", chunk)
             assert np.array_equal(
-                compiled_outputs(
-                    spec,
-                    grid,
-                    converter="c",
-                    gather_limit=gather_limit,
-                ),
-                golden,
-            )
+                compiled_outputs(spec, grid, converter="c"), golden
+            ), chunk
 
 
 class TestCampaignCoversFallbacks:
