@@ -303,24 +303,6 @@ def cmd_simulate(args) -> int:
     return 0 if matches else 1
 
 
-def _lowering_from_args(args):
-    """Parse ``--lowering`` (one consolidated JSON pass-through) into
-    a :class:`~repro.lower.engine.LoweringConfig`, or None when the
-    flag is absent (the legacy ``--converter`` knob then applies)."""
-    from .lower.engine import LoweringConfig
-
-    raw = getattr(args, "lowering", None)
-    if not raw:
-        return None
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise ValueError(f"--lowering is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ValueError("--lowering must be a JSON object")
-    return LoweringConfig.from_json(data)
-
-
 def _service_config(args):
     from .service import ChaosConfig, ServiceConfig
 
@@ -344,7 +326,6 @@ def _service_config(args):
         cache_dir=args.cache_dir,
         worker_mode=args.worker_mode,
         backend=getattr(args, "backend", "interpreted"),
-        lowering=_lowering_from_args(args),
         converter=getattr(args, "converter", "numpy"),
         hang_timeout_s=args.hang_timeout,
         chaos=chaos,
@@ -386,15 +367,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
             "(vectorized replay) or 'c' (cffi-built generated C, "
             "degrading to numpy when no C toolchain is available; "
             "default numpy)"
-        ),
-    )
-    group.add_argument(
-        "--lowering", default=None, metavar="JSON",
-        help=(
-            "consolidated lowering config as a JSON object (keys: "
-            "converter, artifact_dir); overrides --converter.  This is "
-            "the single pass-through the router uses to configure its "
-            "nodes"
         ),
     )
     group.add_argument(
@@ -684,31 +656,14 @@ def cmd_route(args) -> int:
             continue  # only forward the seed with an active fault rate
         if value:
             extra += [flag, str(value)]
-    backend = getattr(args, "backend", "interpreted")
-    if backend not in ("interpreted", "compiled"):
-        raise ValueError(
-            f"backend must be one of 'interpreted', 'compiled', "
-            f"got {backend!r}"
-        )
-    converter = getattr(args, "converter", "numpy")
-    if converter not in ("numpy", "c"):
-        raise ValueError(
-            f"converter must be one of 'numpy', 'c', "
-            f"got {converter!r}"
-        )
-    lowering = _lowering_from_args(args)
-    if lowering is None:
-        from .lower.engine import LoweringConfig
-
-        lowering = LoweringConfig(converter=converter)
     remotes = tuple(getattr(args, "connect", None) or ())
     node = NodeConfig(
         workers=args.workers,
         queue=args.queue,
         max_batch=args.max_batch,
         worker_mode=args.worker_mode,
-        backend=backend,
-        lowering=lowering,
+        backend=args.backend,
+        converter=args.converter,
         validate_every=args.validate_every,
         cache_dir=args.cache_dir,
         hang_timeout_s=args.hang_timeout,

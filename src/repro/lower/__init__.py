@@ -10,16 +10,8 @@ one execution core (:func:`repro.service.executor.run_stages`).
 """
 
 from .bufferize import bufferize, bufferize_plan, stream_parts
-from .convert import (
-    CompiledKernel,
-    ConverterUnavailable,
-    convert,
-    converter_names,
-    get_converter,
-    kernel_from_plan,
-    register_converter,
-)
-from .engine import CompiledEngine, LowerResult, LoweringConfig
+from .convert import CompiledKernel, ConverterUnavailable, convert
+from .engine import CONVERTERS, CompiledEngine, LowerResult
 from .gather import iter_point_chunks
 from .program import (
     BUFFER_PROGRAM_VERSION,
@@ -36,13 +28,13 @@ from .program import (
 
 __all__ = [
     "BUFFER_PROGRAM_VERSION",
+    "CONVERTERS",
     "BufferProgram",
     "BufferRead",
     "CompiledEngine",
     "CompiledKernel",
     "ConverterUnavailable",
     "LowerResult",
-    "LoweringConfig",
     "LoweringError",
     "LoweringUnsupported",
     "ProgramMismatchError",
@@ -50,13 +42,9 @@ __all__ = [
     "bufferize",
     "bufferize_plan",
     "convert",
-    "converter_names",
-    "get_converter",
     "iter_point_chunks",
-    "kernel_from_plan",
     "program_from_json",
     "program_to_json",
-    "register_converter",
     "stream_parts",
     "validate_program",
 ]

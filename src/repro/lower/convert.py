@@ -24,11 +24,12 @@ not enough).  Two properties make that hold:
   ``p + r.flat``, loaded from one contiguous slice of the flat input
   per strip (box) or one gather per point chunk (polyhedra).
 
-Every converter call re-derives the program from the plan
+The engine (:class:`repro.lower.engine.CompiledEngine`) re-derives
+every program from its plan before converting it
 (:func:`repro.lower.bufferize.bufferize_plan` is cheap and
 deterministic) and refuses a stored sidecar that disagrees
-(:class:`ProgramMismatchError`) — a corrupted cache entry can make the
-service *fail*, never answer wrong.
+(:class:`~repro.lower.program.ProgramMismatchError`) — a corrupted
+cache entry can make the service *fail*, never answer wrong.
 """
 
 from __future__ import annotations
@@ -36,21 +37,16 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..polyhedral.domain import domain_from_json
-from ..stencil.spec import StencilSpec
-from .bufferize import bufferize_plan
 from .gather import gather_base
 from .program import (
     BufferProgram,
     LoweringError,
     LoweringUnsupported,
-    ProgramMismatchError,
-    program_from_json,
-    program_to_json,
     row_major_strides,
     validate_program,
 )
@@ -59,10 +55,6 @@ __all__ = [
     "CompiledKernel",
     "ConverterUnavailable",
     "convert",
-    "converter_names",
-    "get_converter",
-    "kernel_from_plan",
-    "register_converter",
 ]
 
 
@@ -73,57 +65,6 @@ class ConverterUnavailable(LoweringError):
     with no C toolchain on the box.  The engine degrades to the NumPy
     converter and counts the reason; it never fails the request.
     """
-
-
-#: name -> builder ``(program, artifact_dir=...) -> kernel``.  Every
-#: converter target consumes the same :class:`BufferProgram` and must
-#: honor the same bit-exactness contract; ``numpy`` is always present,
-#: others (``c``) register on import and may raise
-#: :class:`ConverterUnavailable` from their builder.
-_CONVERTERS: Dict[str, Callable] = {}
-
-
-def register_converter(name: str) -> Callable:
-    """Class/function decorator adding a converter target by name."""
-
-    def decorate(builder: Callable) -> Callable:
-        _CONVERTERS[name] = builder
-        return builder
-
-    return decorate
-
-
-def _probe_optional_converters() -> None:
-    """Import-register optional targets; absence is not an error.
-
-    The C converter registers on import; pulling it in lazily keeps
-    ``repro.lower.convert`` importable on boxes without cffi (its
-    builder still raises :class:`ConverterUnavailable` there, which is
-    the per-build degradation signal).
-    """
-    if "c" not in _CONVERTERS:
-        try:
-            from . import convert_c  # noqa: F401
-        except Exception:
-            pass
-
-
-def get_converter(name: str) -> Callable:
-    """The registered builder for ``name``."""
-    _probe_optional_converters()
-    try:
-        return _CONVERTERS[name]
-    except KeyError:
-        raise LoweringError(
-            f"unknown converter {name!r} "
-            f"(registered: {sorted(_CONVERTERS)})"
-        ) from None
-
-
-def converter_names() -> List[str]:
-    """Registered converter names (after the lazy probes)."""
-    _probe_optional_converters()
-    return sorted(_CONVERTERS)
 
 
 #: Working-set budget of one kernel call, in bytes: the scratch slots
@@ -463,45 +404,6 @@ class CompiledKernel:
                 fn(env[a], env[b], out=env[out])
 
 
-@register_converter("numpy")
-def convert(
-    program: BufferProgram,
-    artifact_dir: Optional[str] = None,
-) -> CompiledKernel:
-    """Build the NumPy kernel for a (validated) buffer program.
-
-    ``artifact_dir`` is part of the uniform converter-builder
-    signature; the NumPy target has nothing to persist.
-    """
-    del artifact_dir
+def convert(program: BufferProgram) -> CompiledKernel:
+    """Build the NumPy kernel for a (validated) buffer program."""
     return CompiledKernel(program)
-
-
-def kernel_from_plan(
-    plan,
-    spec: Optional[StencilSpec] = None,
-) -> Tuple[CompiledKernel, dict]:
-    """Lower a cached plan end to end: ``(kernel, program_json)``.
-
-    Re-runs bufferize unconditionally; when the plan carries a stored
-    sidecar program the fresh lowering must match it exactly, otherwise
-    the sidecar is corrupt and :class:`ProgramMismatchError` is raised
-    (the caller evicts the plan and fails the request cleanly).
-    """
-    fresh = bufferize_plan(plan, spec=spec)
-    fresh_json = program_to_json(fresh)
-    stored = getattr(plan, "buffer_program", None)
-    if stored is not None:
-        try:
-            stored_program = program_from_json(stored)
-            validate_program(stored_program)
-            matches = program_to_json(stored_program) == fresh_json
-        except (LoweringError, KeyError, TypeError, ValueError):
-            matches = False
-        if not matches:
-            raise ProgramMismatchError(
-                f"stored buffer program for plan "
-                f"{plan.fingerprint[:12]} diverges from a fresh "
-                "lowering of the cached spec"
-            )
-    return convert(fresh), fresh_json

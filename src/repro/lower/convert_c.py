@@ -51,7 +51,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .convert import CompiledKernel, ConverterUnavailable, register_converter
+from .convert import CompiledKernel, ConverterUnavailable
 from .program import BufferProgram, LoweringError, row_major_strides
 
 __all__ = [
@@ -485,7 +485,6 @@ class CCompiledKernel(CompiledKernel):
         return out
 
 
-@register_converter("c")
 def convert_c(
     program: BufferProgram,
     artifact_dir: Optional[str] = None,

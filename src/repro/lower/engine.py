@@ -31,7 +31,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,12 +39,7 @@ from ..obs.tracing import span
 from ..stencil.golden import make_input
 from ..stencil.spec import StencilSpec
 from .bufferize import bufferize_plan
-from .convert import (
-    CompiledKernel,
-    ConverterUnavailable,
-    convert,
-    get_converter,
-)
+from .convert import CompiledKernel, ConverterUnavailable, convert
 from .program import (
     BUFFER_PROGRAM_VERSION,
     LoweringUnsupported,
@@ -55,65 +50,27 @@ from .program import (
 )
 
 __all__ = [
+    "CONVERTERS",
     "GRID_CACHE_BYTES",
     "KERNEL_MEMO_ENTRIES",
     "CompiledEngine",
     "LowerResult",
-    "LoweringConfig",
 ]
+
+#: Converter targets behind the ``BufferProgram`` IR: ``"numpy"`` is
+#: the vectorized ufunc replay, ``"c"`` generates C built via cffi
+#: (degrading per build to ``"numpy"`` when it cannot run here).
+CONVERTERS = ("numpy", "c")
 
 #: Input-grid LRU budget (float64 bytes across all cached grids).
 GRID_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Bound on each engine's kernel memo and, separately, on its memo of
 #: refused lowerings; both evict the least recently used entry.  One
-#: entry per (fingerprint, lowering config) a process has executed:
+#: entry per fingerprint a process has executed:
 #: 256 holds every hot plan of a node, while a stream of one-off
 #: fingerprints cannot grow the process without limit.
 KERNEL_MEMO_ENTRIES = 256
-
-
-@dataclass(frozen=True)
-class LoweringConfig:
-    """Everything that can change what ``kernel_for`` produces.
-
-    The engine's kernel and unsupported-verdict memos are keyed on
-    ``(fingerprint, config.key())`` — a verdict reached under one
-    converter must never answer for another.
-
-    ``artifact_dir`` is deliberately *not* part of the key: it decides
-    where the C converter persists its build, never what the kernel
-    computes.
-    """
-
-    converter: str = "numpy"
-    artifact_dir: Optional[str] = None
-
-    def key(self) -> Tuple:
-        return (self.converter,)
-
-    def to_json(self) -> dict:
-        """Wire encoding — the one lowering pass-through dict shared
-        by pool job protocol and router node argv."""
-        out = {"converter": self.converter}
-        if self.artifact_dir is not None:
-            out["artifact_dir"] = str(self.artifact_dir)
-        return out
-
-    @classmethod
-    def from_json(cls, data: Optional[dict]) -> "LoweringConfig":
-        """Parse the wire encoding; missing keys keep the defaults.
-
-        Unknown keys are ignored, so an older sender's
-        ``gather_limit`` / ``gather_hard_limit`` still parses.
-        """
-        data = data or {}
-        kwargs: Dict[str, object] = {}
-        if data.get("converter"):
-            kwargs["converter"] = str(data["converter"])
-        if data.get("artifact_dir"):
-            kwargs["artifact_dir"] = str(data["artifact_dir"])
-        return cls(**kwargs)
 
 
 @dataclass
@@ -136,14 +93,27 @@ class LowerResult:
 
 
 class CompiledEngine:
-    """Bufferize → convert → execute, memoized per fingerprint."""
+    """Bufferize → convert → execute, memoized per fingerprint.
+
+    ``converter`` names the target (:data:`CONVERTERS`) every kernel of
+    this engine is built with; ``artifact_dir`` is where the C converter
+    persists its builds (the service passes its plan ``cache_dir``).
+    """
 
     def __init__(
         self,
+        converter: str = "numpy",
+        artifact_dir: Optional[str] = None,
         grid_cache_bytes: int = GRID_CACHE_BYTES,
-        config: Optional[LoweringConfig] = None,
     ) -> None:
-        self.config = config or LoweringConfig()
+        if converter not in CONVERTERS:
+            raise ValueError(
+                f"converter must be one of "
+                f"{', '.join(repr(n) for n in CONVERTERS)}, "
+                f"got {converter!r}"
+            )
+        self.converter = converter
+        self.artifact_dir = artifact_dir
         self._kernels: OrderedDict = OrderedDict()
         self._unsupported: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
@@ -154,10 +124,7 @@ class CompiledEngine:
 
     # -- lowering ------------------------------------------------------
     def kernel_for(
-        self,
-        plan,
-        spec: Optional[StencilSpec] = None,
-        config: Optional[LoweringConfig] = None,
+        self, plan, spec: Optional[StencilSpec] = None
     ) -> LowerResult:
         """The kernel for a cached plan, lowering on first use.
 
@@ -165,20 +132,18 @@ class CompiledEngine:
         interpreted path) or :class:`ProgramMismatchError` (the stored
         sidecar is corrupt; fail the request and evict the plan).
         """
-        cfg = config or self.config
         fp = plan.fingerprint
-        key = (fp, cfg.key())
         with self._lock:
-            hit = self._kernels.get(key)
+            hit = self._kernels.get(fp)
             if hit is not None:
-                self._kernels.move_to_end(key)
+                self._kernels.move_to_end(fp)
                 kernel, used = hit
                 return LowerResult(
                     kernel=kernel, program_json=None, converter=used
                 )
-            unsupported = self._unsupported.get(key)
+            unsupported = self._unsupported.get(fp)
             if unsupported is not None:
-                self._unsupported.move_to_end(key)
+                self._unsupported.move_to_end(fp)
         if unsupported is not None:
             raise unsupported
         if spec is None:
@@ -191,7 +156,7 @@ class CompiledEngine:
             ):
                 fresh = bufferize_plan(plan, spec=spec)
         except LoweringUnsupported as exc:
-            self._remember(self._unsupported, key, exc)
+            self._remember(self._unsupported, fp, exc)
             raise
         bufferize_ms = (time.perf_counter() - started) * 1e3
         fresh_json = program_to_json(fresh)
@@ -208,16 +173,15 @@ class CompiledEngine:
                 "from a fresh lowering of the cached spec"
             )
         started = time.perf_counter()
-        used = cfg.converter
+        used = self.converter
         converter_fallback: Optional[str] = None
         try:
             with span(
                 "lower.convert", fingerprint=fp[:12],
-                benchmark=spec.name, converter=cfg.converter,
+                benchmark=spec.name, converter=self.converter,
             ):
                 try:
-                    builder = get_converter(cfg.converter)
-                    kernel = builder(fresh, artifact_dir=cfg.artifact_dir)
+                    kernel = self._convert(fresh)
                 except ConverterUnavailable as exc:
                     # Per-build degradation: the configured target
                     # cannot run here (no toolchain, no cffi, compile
@@ -227,10 +191,10 @@ class CompiledEngine:
                     converter_fallback = str(exc)
                     kernel = convert(fresh)
         except LoweringUnsupported as exc:
-            self._remember(self._unsupported, key, exc)
+            self._remember(self._unsupported, fp, exc)
             raise
         convert_ms = (time.perf_counter() - started) * 1e3
-        self._remember(self._kernels, key, (kernel, used))
+        self._remember(self._kernels, fp, (kernel, used))
         return LowerResult(
             kernel=kernel,
             program_json=None if stored is not None else fresh_json,
@@ -241,12 +205,24 @@ class CompiledEngine:
             converter_fallback=converter_fallback,
         )
 
-    def _remember(self, memo: OrderedDict, key: Tuple, value) -> None:
+    def _convert(self, program) -> CompiledKernel:
+        """Build ``program`` with this engine's converter."""
+        if self.converter == "numpy":
+            return convert(program)
+        try:
+            from .convert_c import convert_c
+        except ImportError as exc:
+            raise ConverterUnavailable(
+                f"the C converter cannot be imported: {exc}"
+            ) from exc
+        return convert_c(program, artifact_dir=self.artifact_dir)
+
+    def _remember(self, memo: OrderedDict, fp: str, value) -> None:
         """Insert into one memo, evicting beyond
         :data:`KERNEL_MEMO_ENTRIES` (least recently used first)."""
         with self._lock:
-            memo[key] = value
-            memo.move_to_end(key)
+            memo[fp] = value
+            memo.move_to_end(fp)
             while len(memo) > KERNEL_MEMO_ENTRIES:
                 memo.popitem(last=False)
 
@@ -269,15 +245,10 @@ class CompiledEngine:
         return program_to_json(stored_program) == fresh_json
 
     def forget(self, fp: str) -> None:
-        """Drop one fingerprint (mirrors a plan-cache invalidation).
-
-        Every config variant of the fingerprint goes — invalidation is
-        about the plan, not about how it was lowered.
-        """
+        """Drop one fingerprint (mirrors a plan-cache invalidation)."""
         with self._lock:
-            for memo in (self._kernels, self._unsupported):
-                for key in [k for k in memo if k[0] == fp]:
-                    memo.pop(key, None)
+            self._kernels.pop(fp, None)
+            self._unsupported.pop(fp, None)
 
     # -- content-addressed input grids ---------------------------------
     def input_grid(self, spec: StencilSpec, seed: int) -> np.ndarray:

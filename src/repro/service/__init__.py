@@ -54,14 +54,10 @@ from .api import ServiceConfig, StencilService
 from .chaos import ChaosConfig, ChaosInjector, PlanFuzzer
 from .executor import (
     CanarySampler,
-    Executor,
     PlanExecutor,
     PlanValidationError,
     compile_plan,
-    executor_backends,
-    make_executor,
     make_response,
-    register_executor,
     validate_plan,
 )
 from .pool import CircuitBreaker, ProcessPlanExecutor, shard_of
@@ -123,7 +119,6 @@ __all__ = [
     "CompileOptions",
     "ERROR_KINDS",
     "ErrorInfo",
-    "Executor",
     "FINGERPRINT_VERSION",
     "FileLease",
     "HandshakeError",
@@ -163,13 +158,10 @@ __all__ = [
     "compile_plan",
     "connect_with_backoff",
     "error_response",
-    "executor_backends",
     "fingerprint",
-    "make_executor",
     "make_response",
     "parse_address",
     "plan_workload",
-    "register_executor",
     "rendezvous_order",
     "request_fingerprint",
     "shard_of",

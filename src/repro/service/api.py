@@ -42,17 +42,17 @@ from typing import Any, Dict, Optional
 
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.tracing import span, trace_context
-from ..lower.engine import LoweringConfig
+from ..lower.engine import CONVERTERS, CompiledEngine
 from .chaos import ChaosConfig
 from .executor import (
-    make_executor,
+    PlanExecutor,
     make_response,
     observe_stage,
     self_usage,
 )
 from .plancache import PlanCache
 from .proto import ProtoError, Request, Response, error_response
-from .pool import ProcessPlanExecutor  # noqa: F401 (registers backend)
+from .pool import ProcessPlanExecutor
 from .scheduler import QueueClosedError, ResultSlot, Scheduler, WorkItem
 from .workload import (
     WorkloadError,
@@ -63,9 +63,10 @@ from .workload import (
 
 __all__ = [
     "EXECUTION_BACKENDS",
-    "LOWER_CONVERTERS",
+    "WORKER_MODES",
     "ServiceConfig",
     "StencilService",
+    "check_choice",
 ]
 
 #: Request execution strategies, orthogonal to ``worker_mode``:
@@ -73,11 +74,18 @@ __all__ = [
 #: ``"compiled"`` runs batched lowered kernels (:mod:`repro.lower`).
 EXECUTION_BACKENDS = ("interpreted", "compiled")
 
-#: Converter targets behind the compiled backend's ``BufferProgram``
-#: IR: ``"numpy"`` is the vectorized ufunc replay, ``"c"`` generates C
-#: built via cffi (degrading per build to ``"numpy"`` when no C
-#: toolchain is present).  Meaningless with ``backend="interpreted"``.
-LOWER_CONVERTERS = ("numpy", "c")
+#: Executor shapes: worker threads in this process, or the
+#: crash-isolated pool of worker processes.
+WORKER_MODES = ("thread", "process")
+
+
+def check_choice(name: str, value: str, choices) -> None:
+    """Raise ``ValueError`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(
+            f"{name} must be one of "
+            f"{', '.join(repr(c) for c in choices)}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -104,77 +112,18 @@ class ServiceConfig:
     lease_ttl_s: float = 120.0
     worker_mode: str = "thread"  # "thread" | "process"
     backend: str = "interpreted"  # "interpreted" | "compiled"
-    #: The one carrier of every lowering knob (converter, artifact
-    #: dir).  Normally derived in ``__post_init__`` from the legacy
-    #: ``converter`` field below plus ``cache_dir``; pass an explicit
-    #: :class:`LoweringConfig` to set everything in one place
-    #: (``converter`` is then overwritten to mirror it).
-    lowering: Optional[LoweringConfig] = None
-    converter: str = "numpy"  # "numpy" | "c" (compiled backend only)
+    #: The compiled backend's kernel converter (:data:`CONVERTERS`);
+    #: the C converter persists its builds in ``cache_dir``.
+    converter: str = "numpy"
     breaker_threshold: int = 3  # lethal events before the circuit opens
     breaker_cooldown_s: float = 5.0
     hang_timeout_s: float = 60.0  # unresponsive-worker kill deadline
     chaos: Optional[ChaosConfig] = None  # process mode only
 
     def __post_init__(self) -> None:
-        if self.backend not in EXECUTION_BACKENDS:
-            raise ValueError(
-                f"backend must be one of "
-                f"{', '.join(repr(n) for n in EXECUTION_BACKENDS)}, "
-                f"got {self.backend!r}"
-            )
-        if self.lowering is None:
-            # Derive the single carrier from the legacy convenience
-            # field (validated first so the error message stays
-            # field-specific).
-            if self.converter not in LOWER_CONVERTERS:
-                raise ValueError(
-                    f"converter must be one of "
-                    f"{', '.join(repr(n) for n in LOWER_CONVERTERS)}, "
-                    f"got {self.converter!r}"
-                )
-            kwargs = {"converter": self.converter}
-            if self.cache_dir:
-                # The plan cache's directory doubles as the converter
-                # artifact directory (<fp>.c.so sits next to the plan
-                # and program sidecars it belongs to).
-                kwargs["artifact_dir"] = str(self.cache_dir)
-            object.__setattr__(
-                self, "lowering", LoweringConfig(**kwargs)
-            )
-        else:
-            if not isinstance(self.lowering, LoweringConfig):
-                raise ValueError(
-                    "lowering must be a LoweringConfig, got "
-                    f"{self.lowering!r}"
-                )
-            if self.lowering.converter not in LOWER_CONVERTERS:
-                raise ValueError(
-                    f"converter must be one of "
-                    f"{', '.join(repr(n) for n in LOWER_CONVERTERS)}, "
-                    f"got {self.lowering.converter!r}"
-                )
-            if (
-                self.lowering.artifact_dir is None
-                and self.cache_dir
-            ):
-                object.__setattr__(
-                    self,
-                    "lowering",
-                    LoweringConfig(
-                        converter=self.lowering.converter,
-                        artifact_dir=str(self.cache_dir),
-                    ),
-                )
-            # Keep the legacy mirror field consistent for readers.
-            object.__setattr__(
-                self, "converter", self.lowering.converter
-            )
-        if self.worker_mode not in ("thread", "process"):
-            raise ValueError(
-                f"worker_mode must be one of 'thread', 'process', "
-                f"got {self.worker_mode!r}"
-            )
+        check_choice("backend", self.backend, EXECUTION_BACKENDS)
+        check_choice("converter", self.converter, CONVERTERS)
+        check_choice("worker_mode", self.worker_mode, WORKER_MODES)
         if self.chaos is not None and self.chaos.enabled() and (
             self.worker_mode != "process"
         ):
@@ -193,7 +142,7 @@ class StencilService:
         registry: Optional[MetricsRegistry] = None,
         fault_hook=None,
     ) -> None:
-        self.config = config or ServiceConfig()
+        self.config = cfg = config or ServiceConfig()
         self.metrics = (
             registry or get_metrics() or MetricsRegistry()
         )
@@ -220,14 +169,28 @@ class StencilService:
             canary_hot_weight=self.config.canary_hot_weight,
             canary_hot_window=self.config.canary_hot_window,
         )
-        # worker_mode picks the pool shape; each executor reads the
-        # backend (where its kernels come from) off the config.
-        self.executor = make_executor(
-            self.config.worker_mode,
-            config=self.config,
-            shared=shared,
-            fault_hook=fault_hook,
-        )
+        compiled = cfg.backend == "compiled"
+        if cfg.worker_mode == "process":
+            # Each pool worker builds its own engine from these.
+            self.executor = ProcessPlanExecutor(
+                breaker_threshold=cfg.breaker_threshold,
+                breaker_cooldown_s=cfg.breaker_cooldown_s,
+                hang_timeout_s=cfg.hang_timeout_s,
+                chaos=cfg.chaos,
+                converter=cfg.converter if compiled else None,
+                artifact_dir=cfg.cache_dir,
+                **shared,
+            )
+        else:
+            self.executor = PlanExecutor(
+                fault_hook=fault_hook,
+                engine=(
+                    CompiledEngine(cfg.converter, cfg.cache_dir)
+                    if compiled
+                    else None
+                ),
+                **shared,
+            )
         self._started = False
         self._seq = 0
 
@@ -442,8 +405,8 @@ class StencilService:
             )
         elif verb == "ping":
             # Liveness probe.  The TCP transport answers pings at the
-            # socket layer (out of band); this in-band fallback keeps
-            # the verb meaningful over plain pipes too.
+            # socket layer (out of band); this in-band answer serves a
+            # ping submitted to the service directly.
             summary = {"pong": True}
             if "t" in request:
                 summary["t"] = request["t"]

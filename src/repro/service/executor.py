@@ -55,22 +55,13 @@ import resource
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..flow.automation import compile_accelerator
 from ..integration.chaining import intermediate_grid_shape
-from ..lower.engine import CompiledEngine, LoweringConfig
+from ..lower.engine import CompiledEngine
 from ..lower.program import LoweringUnsupported, ProgramMismatchError
 from ..microarch.memory_system import build_memory_system
 from ..microarch.tradeoff import with_offchip_streams
@@ -89,7 +80,6 @@ __all__ = [
     "STAGE_BUCKETS_MS",
     "observe_stage",
     "CanarySampler",
-    "Executor",
     "ExecutorBase",
     "ItemResult",
     "PlanExecutor",
@@ -99,12 +89,9 @@ __all__ = [
     "compile_plan",
     "execute_pipeline",
     "execute_stencil",
-    "executor_backends",
     "lower_stages",
-    "make_executor",
     "make_response",
     "path_counts",
-    "register_executor",
     "run_stages",
     "stage_summaries",
     "validate_pipeline",
@@ -636,7 +623,6 @@ def lower_stages(
     engine: CompiledEngine,
     stages,
     plans: List[CachedPlan],
-    config: Optional[LoweringConfig] = None,
 ) -> Tuple[Optional[List[Any]], Dict[str, Any]]:
     """Lower every stage's plan through ``engine``.
 
@@ -653,7 +639,7 @@ def lower_stages(
     kernels = []
     try:
         for stage, plan in zip(stages, plans):
-            result = engine.kernel_for(plan, spec=stage.spec, config=config)
+            result = engine.kernel_for(plan, spec=stage.spec)
             if result.built:
                 lower.setdefault("built", []).append(
                     {
@@ -1170,62 +1156,6 @@ class ExecutorBase:
             ).inc(lower["kernel_errors"])
 
 
-@runtime_checkable
-class Executor(Protocol):
-    """The contract every execution backend satisfies.
-
-    A backend drains the shared :class:`Scheduler`, resolves every
-    admitted :class:`WorkItem` exactly once, and exposes two
-    lifecycle calls.  :class:`StencilService` (and the router's node
-    spawner) select a backend *by name* through the factory registry
-    below — there is no backend ``if``/``else`` anywhere else.
-    """
-
-    def start(self) -> None:
-        """Begin draining the scheduler."""
-
-    def stop(self, join_timeout: float = 10.0) -> None:
-        """Stop after the scheduler is idle; join worker resources."""
-
-
-#: name -> factory(config, shared, fault_hook) for executor backends.
-_EXECUTOR_BACKENDS: Dict[str, Callable[..., "ExecutorBase"]] = {}
-
-
-def register_executor(name: str) -> Callable:
-    """Class decorator-style registration of one executor backend.
-
-    The registered callable receives ``(config, shared, fault_hook)``
-    where ``config`` is the :class:`~repro.service.api.ServiceConfig`
-    and ``shared`` the kwargs every :class:`ExecutorBase` takes.
-    """
-
-    def _register(factory: Callable[..., "ExecutorBase"]):
-        _EXECUTOR_BACKENDS[name] = factory
-        return factory
-
-    return _register
-
-
-def executor_backends() -> Tuple[str, ...]:
-    """The registered backend names (sorted, for error messages)."""
-    return tuple(sorted(_EXECUTOR_BACKENDS))
-
-
-def make_executor(
-    name: str, config: Any, shared: Dict[str, Any], fault_hook=None
-) -> "ExecutorBase":
-    """Instantiate the backend registered under ``name``."""
-    try:
-        factory = _EXECUTOR_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor backend {name!r} (registered: "
-            f"{', '.join(executor_backends())})"
-        ) from None
-    return factory(config, shared, fault_hook)
-
-
 class PlanExecutor(ExecutorBase):
     """N worker threads draining the scheduler in fingerprint groups.
 
@@ -1376,15 +1306,3 @@ class PlanExecutor(ExecutorBase):
                 benchmark=label,
                 request=item.request_id,
             )
-
-
-@register_executor("thread")
-def _make_thread_executor(config, shared, fault_hook) -> PlanExecutor:
-    """``worker_mode="thread"``: N threads inside this process, with
-    one :class:`CompiledEngine` for the compiled backend."""
-    engine = (
-        CompiledEngine(config=config.lowering)
-        if config.backend == "compiled"
-        else None
-    )
-    return PlanExecutor(fault_hook=fault_hook, engine=engine, **shared)

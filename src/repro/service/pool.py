@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import get_tracer, new_span_id, span, trace_context
-from ..lower.engine import CompiledEngine, LoweringConfig
+from ..lower.engine import CompiledEngine
 from ..stencil.spec import StencilSpec
 from .chaos import ChaosConfig, ChaosInjector
 from .executor import (
@@ -64,7 +64,6 @@ from .executor import (
     lower_stages,
     make_response,
     observe_stage,
-    register_executor,
     path_counts,
     run_stages,
     self_usage,
@@ -291,13 +290,13 @@ def _run_job(
     job: Dict[str, Any],
     plans: "OrderedDict[str, CachedPlan]",
     chaos: Optional[ChaosInjector],
-    engine: CompiledEngine,
+    engine: Optional[CompiledEngine] = None,
 ) -> Dict[str, Any]:
     """Execute one fingerprint group inside the worker process.
 
     Decodes the job's stages, compiles any stage the parent missed (a
-    compile that crashes takes down only this worker), lowers when the
-    job carries a ``lowering`` config, and runs the group through
+    compile that crashes takes down only this worker), lowers through
+    ``engine`` (``None`` runs interpreted), and runs the group through
     :func:`run_stages`.  The reply ships home the compiled plans, the
     per-exec results, the worker's spans and its lowering report.
     """
@@ -362,15 +361,10 @@ def _run_job(
         }
 
     kernels = None
-    if job.get("lowering") is not None:
+    if engine is not None:
         lower_start_unix = time.time_ns()
         try:
-            kernels, lower = lower_stages(
-                engine,
-                stages,
-                stage_plans,
-                LoweringConfig.from_json(job["lowering"]),
-            )
+            kernels, lower = lower_stages(engine, stages, stage_plans)
         except PlanValidationError as exc:
             # A transmitted plan carries a corrupt stored program:
             # every exec fails validation so the parent invalidates
@@ -447,13 +441,25 @@ def _run_job(
         if item.error_kind == "validation":
             for stage in stages:  # the parent will invalidate too
                 plans.pop(stage.fingerprint, None)
-                engine.forget(stage.fingerprint)
+                if engine is not None:
+                    engine.forget(stage.fingerprint)
         results.append({"id": e["id"], **item.reply(stages)})
     return reply(results)
 
 
-def _worker_main(conn, shard_id: int, chaos_json: Optional[dict]) -> None:
-    """The worker-process loop: recv a job, run it, send the reply."""
+def _worker_main(
+    conn,
+    shard_id: int,
+    chaos_json: Optional[dict],
+    converter: Optional[str],
+    artifact_dir: Optional[str],
+) -> None:
+    """The worker-process loop: recv a job, run it, send the reply.
+
+    A compiled pool (``converter`` set) builds this worker's one
+    engine, with its own kernel and grid caches; an interpreted pool
+    builds none.
+    """
     _reset_forked_observability()
     chaos = (
         ChaosInjector(ChaosConfig.from_json(chaos_json))
@@ -461,7 +467,9 @@ def _worker_main(conn, shard_id: int, chaos_json: Optional[dict]) -> None:
         else None
     )
     plans: "OrderedDict[str, CachedPlan]" = OrderedDict()
-    engine = CompiledEngine()  # worker-local kernel/grid caches
+    engine = (
+        CompiledEngine(converter, artifact_dir) if converter else None
+    )
     while True:
         try:
             msg = conn.recv()
@@ -495,10 +503,11 @@ def _worker_main(conn, shard_id: int, chaos_json: Optional[dict]) -> None:
 class _WorkerShard:
     """Parent-side handle of one worker process and its feed queue."""
 
-    def __init__(self, index: int, ctx, chaos_json) -> None:
+    def __init__(self, index: int, ctx, worker_args: Tuple) -> None:
         self.index = index
         self.ctx = ctx
-        self.chaos_json = chaos_json
+        #: :func:`_worker_main`'s arguments after the shard index.
+        self.worker_args = worker_args
         self.proc = None
         self.conn = None
         self.lock = threading.Lock()
@@ -524,7 +533,7 @@ class _WorkerShard:
         parent_conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.index, self.chaos_json),
+            args=(child_conn, self.index, *self.worker_args),
             daemon=True,
             name=f"repro-pool-worker-{self.index}",
         )
@@ -563,6 +572,9 @@ class ProcessPlanExecutor(ExecutorBase):
     :class:`~repro.service.executor.PlanExecutor` (``start`` /
     ``stop`` draining the same :class:`Scheduler`), but every unit of
     real work happens in a crash-isolated worker process.
+    ``converter`` picks the backend: ``None`` runs interpreted, a
+    converter name gives each worker its own
+    :class:`~repro.lower.engine.CompiledEngine`.
     """
 
     def __init__(
@@ -580,7 +592,8 @@ class ProcessPlanExecutor(ExecutorBase):
         hang_timeout_s: float = 60.0,
         chaos: Optional[ChaosConfig] = None,
         mp_start_method: Optional[str] = None,
-        lowering: Optional[LoweringConfig] = None,
+        converter: Optional[str] = None,
+        artifact_dir: Optional[str] = None,
         **canary_kwargs: Any,
     ) -> None:
         super().__init__(
@@ -600,13 +613,6 @@ class ProcessPlanExecutor(ExecutorBase):
         self.breaker_cooldown_s = breaker_cooldown_s
         self.hang_timeout_s = hang_timeout_s
         self.chaos = chaos
-        # The backend: workers are generic, so each job carries the
-        # lowering config (converter, artifact dir) its kernels come
-        # from, or None to run interpreted.
-        self.lowering = lowering
-        self._lowering_json = (
-            None if lowering is None else lowering.to_json()
-        )
         if mp_start_method is None:
             # Workers are started from a multithreaded parent
             # (dispatcher, shard runners, supervisor, user threads);
@@ -629,8 +635,11 @@ class ProcessPlanExecutor(ExecutorBase):
         chaos_json = (
             chaos.to_json() if chaos and chaos.enabled() else None
         )
+        # The backend travels with the spawn arguments, not the jobs.
         self._shards = [
-            _WorkerShard(k, self._ctx, chaos_json)
+            _WorkerShard(
+                k, self._ctx, (chaos_json, converter, artifact_dir)
+            )
             for k in range(workers)
         ]
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -952,7 +961,6 @@ class ProcessPlanExecutor(ExecutorBase):
                 }
                 for stage, plan in zip(exemplar.stages, plans)
             ],
-            "lowering": self._lowering_json,
             "execs": execs,
         }
         budget_s = min(
@@ -1040,7 +1048,12 @@ class ProcessPlanExecutor(ExecutorBase):
             plan_fp: CachedPlan.from_json(plan_json)
             for plan_fp, plan_json in (reply.get("plans") or {}).items()
         }
+        programs = (reply.get("lower") or {}).get("programs") or {}
         for plan in harvested.values():
+            # Store the worker's program with the plan: a plan stored
+            # without one takes the converter artifacts the worker
+            # just built in ``cache_dir`` away with its sidecar.
+            plan.buffer_program = programs.get(plan.fingerprint)
             self.cache.put(plan)
             self.registry.counter("service_plan_compiles_total").inc()
         plans = [
@@ -1097,20 +1110,3 @@ class ProcessPlanExecutor(ExecutorBase):
         closed = breaker.record_success()
         if closed == BREAKER_CLOSED:
             self._publish_breaker(fp, BREAKER_CLOSED)
-
-
-@register_executor("process")
-def _make_process_executor(
-    config, shared, fault_hook
-) -> ProcessPlanExecutor:
-    """``worker_mode="process"``: the crash-isolated sharded pool."""
-    return ProcessPlanExecutor(
-        breaker_threshold=config.breaker_threshold,
-        breaker_cooldown_s=config.breaker_cooldown_s,
-        hang_timeout_s=config.hang_timeout_s,
-        chaos=config.chaos,
-        lowering=(
-            config.lowering if config.backend == "compiled" else None
-        ),
-        **shared,
-    )

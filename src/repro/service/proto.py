@@ -45,7 +45,7 @@ the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from .workload import Workload, WorkloadError
@@ -407,17 +407,6 @@ class Request:
             raise
         except (TypeError, ValueError) as exc:
             raise ProtoError(str(exc)) from exc
-
-    def with_id(self, request_id: str) -> "Request":
-        return replace(self, id=request_id)
-
-    def with_trace(
-        self, trace_id: str, parent_span_id: Optional[str] = None
-    ) -> "Request":
-        """A copy carrying the given distributed-trace context."""
-        return replace(
-            self, trace_id=trace_id, parent_span_id=parent_span_id
-        )
 
     def effective_workload(self) -> Workload:
         """This request as a typed workload (the proto:1 → 2 shim).

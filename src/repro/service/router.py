@@ -86,7 +86,8 @@ from ..obs.tracing import (
     span,
     trace_context,
 )
-from ..lower.engine import LoweringConfig
+from ..lower.engine import CONVERTERS
+from .api import EXECUTION_BACKENDS, WORKER_MODES, check_choice
 from .chaos import ChaosConfig, ChaosInjector
 from .executor import STAGE_BUCKETS_MS, observe_stage
 from .lease import cleanup_stale_artifacts
@@ -157,11 +158,6 @@ class NodeConfig:
     worker_mode: str = "thread"
     backend: str = "interpreted"  # execution backend on every node
     converter: str = "numpy"  # kernel converter under "compiled"
-    #: The resolved lowering configuration shipped to every node as
-    #: one ``--lowering`` JSON pass-through.  Derived from
-    #: ``converter`` when unset; when given, ``converter`` mirrors it
-    #: so existing readers keep working.
-    lowering: Optional[LoweringConfig] = None
     validate_every: int = 0
     cache_dir: Optional[str] = None  # share across nodes for failover
     hang_timeout_s: float = 60.0
@@ -172,25 +168,15 @@ class NodeConfig:
     extra_args: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # Checked here, not by the node's CLI: a node that rejects its
+        # argv exits at once and would crash-loop under supervision.
+        check_choice("worker_mode", self.worker_mode, WORKER_MODES)
+        check_choice("backend", self.backend, EXECUTION_BACKENDS)
+        check_choice("converter", self.converter, CONVERTERS)
         if self.transport != "tcp":
             raise ValueError(
                 f"transport must be 'tcp' (the pipe transport was "
                 f"removed), got {self.transport!r}"
-            )
-        if self.lowering is None:
-            object.__setattr__(
-                self,
-                "lowering",
-                LoweringConfig(converter=self.converter),
-            )
-        elif not isinstance(self.lowering, LoweringConfig):
-            raise ValueError(
-                "lowering must be a LoweringConfig, got "
-                f"{type(self.lowering).__name__}"
-            )
-        else:
-            object.__setattr__(
-                self, "converter", self.lowering.converter
             )
 
     def argv(self) -> List[str]:
@@ -209,14 +195,8 @@ class NodeConfig:
         ]
         if self.backend != "interpreted":
             out += ["--backend", self.backend]
-        if self.lowering is not None and (
-            self.lowering.to_json() != LoweringConfig().to_json()
-        ):
-            # One consolidated pass-through instead of per-knob flags.
-            out += [
-                "--lowering",
-                json.dumps(self.lowering.to_json(), sort_keys=True),
-            ]
+        if self.converter != "numpy":
+            out += ["--converter", self.converter]
         if self.cache_dir:
             out += ["--cache-dir", self.cache_dir]
         # Port 0: the node binds an ephemeral port and announces it as

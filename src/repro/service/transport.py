@@ -1,9 +1,9 @@
 """TCP socket transport for the proto:1 wire protocol.
 
-The router fabric has always spoken newline-delimited ``proto: 1``
-JSON documents; until now the only medium was a subprocess pipe.  This
-module carries the *same framing* over real TCP sockets so the fabric
-can span hosts, with robustness as the headline:
+The router fabric speaks newline-delimited ``proto: 1`` JSON
+documents, and TCP is its one data plane: this module carries that
+framing over sockets, so the fabric can span hosts, with robustness
+as the headline:
 
 * **handshake** — the first line each peer sends is a
   :class:`Hello` advertising its ``proto`` version, handshake dialect,

@@ -18,7 +18,6 @@ import pytest
 from repro.lower import (
     BUFFER_PROGRAM_VERSION,
     CompiledEngine,
-    LoweringConfig,
     LoweringError,
     LoweringUnsupported,
     ProgramMismatchError,
@@ -343,26 +342,6 @@ class TestEngine:
         with pytest.raises(LoweringUnsupported):
             engine.kernel_for(plan)
 
-    def test_unsupported_memo_is_keyed_on_config(self, monkeypatch):
-        """Regression: the engine once memoized LoweringUnsupported by
-        fingerprint alone, so a refusal under one lowering config
-        poisoned every other config of the same plan for the life of
-        the engine."""
-        spec = skewed_denoise(rows=8, cols=10)
-        plan, _, _ = plan_for(spec)
-        engine = CompiledEngine()
-        refused = LoweringConfig(converter="c")
-        monkeypatch.setattr(bufferize_module, "GATHER_HARD_LIMIT", 4)
-        with pytest.raises(LoweringUnsupported):
-            engine.kernel_for(plan, config=refused)
-        monkeypatch.undo()
-        # The default config must still lower this plan.
-        result = engine.kernel_for(plan)
-        assert result.built
-        # ... and the refused config's verdict survives alongside it.
-        with pytest.raises(LoweringUnsupported):
-            engine.kernel_for(plan, config=refused)
-
     def test_recently_hit_kernel_survives_eviction(self, denoise_small):
         """The kernel memo is an LRU: a kernel hit between inserts
         outlives N+1 colder entries (insertion order dropped it)."""
@@ -394,25 +373,6 @@ class TestEngine:
                     dataclasses.replace(plan, fingerprint=f"{k:064x}")
                 )
         assert len(engine._unsupported) <= KERNEL_MEMO_ENTRIES
-
-    def test_old_lowering_json_builds_the_same_kernel(self):
-        """An older sender's lowering JSON still carries the retired
-        ``gather_limit`` / ``gather_hard_limit`` keys: they are ignored
-        and the kernel is the default config's, bit for bit."""
-        old = LoweringConfig.from_json(
-            {"converter": "numpy", "gather_limit": 256,
-             "gather_hard_limit": 1 << 24}
-        )
-        assert old == LoweringConfig()
-        assert old.to_json() == {"converter": "numpy"}
-        spec = skewed_denoise(rows=8, cols=10)
-        plan, _, _ = plan_for(spec)
-        grid = make_input(spec, seed=3)
-        rows = [
-            CompiledEngine(config=cfg).kernel_for(plan).kernel.run(grid)
-            for cfg in (old, LoweringConfig())
-        ]
-        assert rows[0].tobytes() == rows[1].tobytes()
 
     def test_multi_stream_kernel_is_memoized(self, denoise_small):
         plan, _, _ = plan_for(denoise_small, streams=2)

@@ -11,6 +11,7 @@ NumPy kernel instead, recording the downgrade.
 import hashlib
 import importlib
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,17 +19,16 @@ import pytest
 from repro.lower import (
     CompiledEngine,
     ConverterUnavailable,
-    LoweringConfig,
     bufferize_plan,
     convert,
-    converter_names,
-    get_converter,
 )
 from repro.lower.convert_c import (
     CCompiledKernel,
     c_toolchain,
     generate_source,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.service import ServiceConfig, StencilService
 from repro.service.executor import compile_plan, execute_stencil
 from repro.service.fingerprint import CompileOptions, fingerprint
 from repro.stencil import PAPER_BENCHMARKS, make_input, skewed_denoise
@@ -85,13 +85,6 @@ class TestCodegen:
         src = generate_source(program)
         assert "kernel_box" in src
         assert "kernel_gather" in src
-
-    def test_converter_is_registered(self):
-        assert "numpy" in converter_names()
-        if c_toolchain() is not None:
-            assert "c" in converter_names()
-            assert get_converter("c") is not None
-
 
 @needs_cc
 class TestCBitIdentity:
@@ -209,7 +202,7 @@ class TestDegradation:
     def test_engine_degrades_to_numpy(self, denoise_small, monkeypatch):
         monkeypatch.setenv("REPRO_CC", "")
         plan = plan_for(denoise_small)
-        engine = CompiledEngine(config=LoweringConfig(converter="c"))
+        engine = CompiledEngine(converter="c")
         result = engine.kernel_for(plan)
         assert result.built
         assert result.converter == "numpy"
@@ -222,9 +215,59 @@ class TestDegradation:
     @needs_cc
     def test_engine_uses_c_when_available(self, denoise_small):
         plan = plan_for(denoise_small)
-        engine = CompiledEngine(config=LoweringConfig(converter="c"))
+        engine = CompiledEngine(converter="c")
         result = engine.kernel_for(plan)
         assert result.built
         assert result.converter == "c"
         assert result.converter_fallback is None
         assert isinstance(result.kernel, CCompiledKernel)
+
+    def test_unimportable_converter_degrades_to_numpy(
+        self, denoise_small, monkeypatch
+    ):
+        monkeypatch.setitem(sys.modules, "repro.lower.convert_c", None)
+        result = CompiledEngine(converter="c").kernel_for(
+            plan_for(denoise_small)
+        )
+        assert result.converter == "numpy"
+        assert "cannot be imported" in result.converter_fallback
+
+    def test_unknown_converter_is_refused(self):
+        with pytest.raises(ValueError, match="converter must be one of"):
+            CompiledEngine(converter="fortran")
+
+
+@needs_cc
+class TestServiceWiring:
+    """The ``converter`` string reaches the kernels in both worker
+    modes — a pool worker gets it with its spawn arguments — and the C
+    builds land in the service's ``cache_dir``."""
+
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_converter_and_cache_dir_reach_the_engine(
+        self, denoise_small, tmp_path, worker_mode
+    ):
+        config = ServiceConfig(
+            workers=1,
+            worker_mode=worker_mode,
+            backend="compiled",
+            converter="c",
+            cache_dir=str(tmp_path),
+        )
+        registry = MetricsRegistry()
+        with StencilService(config, registry=registry) as service:
+            reply = service.handle(
+                {"proto": 1, "spec": denoise_small.to_json(), "seed": 0},
+                wait_timeout=120,
+            )
+        assert reply.status == "ok"
+        assert reply.checksum == execute_stencil(denoise_small, 0)[2][:16]
+        counters = registry.snapshot()["counters"]
+        assert counters[
+            'service_lower_converter_total{converter="c"}'
+        ] == 1
+        assert not any(
+            "fallback" in key for key in counters
+        ), counters
+        fp = fingerprint(denoise_small, CompileOptions())
+        assert os.path.exists(os.path.join(tmp_path, f"{fp}.c.so"))

@@ -26,9 +26,8 @@ from repro.lower import (
     LoweringUnsupported,
     bufferize_plan,
     convert,
-    get_converter,
 )
-from repro.lower.convert_c import c_toolchain
+from repro.lower.convert_c import c_toolchain, convert_c
 from repro.microarch.memory_system import build_memory_system
 from repro.service.executor import compile_plan
 from repro.service.fingerprint import CompileOptions, fingerprint
@@ -81,7 +80,7 @@ def compiled_outputs(
     opts = CompileOptions(offchip_streams=streams)
     plan = compile_plan(spec, opts, fingerprint(spec, opts))
     program = bufferize_plan(plan)
-    kernel = get_converter(converter)(program)
+    kernel = (convert_c if converter == "c" else convert)(program)
     return np.ascontiguousarray(kernel.run(grid), dtype=np.float64)
 
 

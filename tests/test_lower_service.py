@@ -11,7 +11,6 @@ import hashlib
 import importlib
 import json
 import os
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -28,15 +27,6 @@ from repro.stencil import DENOISE, SOBEL
 from conftest import small_spec
 
 bufferize_module = importlib.import_module("repro.lower.bufferize")
-
-#: A lowering config as older senders wrote it, with the retired
-#: gather knobs.
-OLD_LOWERING = {
-    "converter": "numpy",
-    "gather_limit": 256,
-    "gather_hard_limit": 1 << 24,
-}
-
 
 def golden_checksum(spec, seed):
     _, _, digest = execute_stencil(spec, seed)
@@ -491,56 +481,12 @@ class TestBackendCli:
         assert argv[argv.index("--backend") + 1] == "compiled"
         assert "--backend" not in NodeConfig().argv()
 
-    def test_old_lowering_flag_still_parses(self, capsys):
-        rc = main(
-            ["submit", "DENOISE", "--grid", "12x16",
-             "--backend", "compiled",
-             "--lowering", json.dumps(OLD_LOWERING)]
-        )
-        assert rc == 0
-        reply = json.loads(
-            capsys.readouterr().out.strip().splitlines()[-1]
-        )
-        assert reply["status"] == "ok"
-        assert reply["checksum"] == golden_checksum(
-            DENOISE.with_grid((12, 16)), 2014
-        )
-
-    def test_old_pool_job_lowering_still_builds(self):
-        """A pool job whose lowering dict carries the retired gather
-        knobs lowers the skewed spec and answers the golden digest."""
-        from repro.lower import CompiledEngine
-        from repro.service.pool import _run_job
-        from repro.stencil import skewed_denoise
-
-        spec = skewed_denoise(8, 10)
-        opts = CompileOptions()
-        fp = fingerprint(spec, opts)
-        job = {
-            "kind": "job",
-            "fingerprint": fp,
-            "stages": [{
-                "fingerprint": fp,
-                "name": spec.name,
-                "spec": spec.to_json(),
-                "options": opts.to_json(),
-                "plan": None,
-            }],
-            "lowering": OLD_LOWERING,
-            "execs": [{"id": "old", "seed": 3, "validate": False,
-                       "attempt": 1}],
-        }
-        reply = _run_job(job, OrderedDict(), None, CompiledEngine())
-        assert reply["lower"]["compiled"] == 1
-        assert reply["execs"][0]["checksum"] == golden_checksum(spec, 3)
-
     def test_node_config_forwards_converter(self):
         from repro.service.router import NodeConfig
 
         argv = NodeConfig(backend="compiled", converter="c").argv()
-        lowering = json.loads(argv[argv.index("--lowering") + 1])
-        assert lowering["converter"] == "c"
-        assert "--lowering" not in NodeConfig().argv()
+        assert argv[argv.index("--converter") + 1] == "c"
+        assert "--converter" not in NodeConfig().argv()
 
 
 class TestLoweringReport:

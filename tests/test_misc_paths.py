@@ -352,6 +352,28 @@ class TestApiDocsGenerator:
         assert "## `repro.partitioning.nonuniform`" in text
         assert "plan_nonuniform" in text
 
+    def test_generation_is_deterministic(self, tmp_path):
+        """Two runs are byte-identical: a callable default renders as
+        its dotted name, never as a repr with a memory address."""
+        import pathlib
+        import subprocess
+        import sys
+
+        outs = [tmp_path / "a.md", tmp_path / "b.md"]
+        for out in outs:
+            result = subprocess.run(
+                [sys.executable, "tools/gen_api_docs.py", str(out)],
+                capture_output=True,
+                text=True,
+                cwd=str(pathlib.Path(__file__).parent.parent),
+            )
+            assert result.returncode == 0, result.stderr
+        first, second = (out.read_bytes() for out in outs)
+        assert first == second
+        text = first.decode("utf-8")
+        assert " at 0x" not in text
+        assert "= repro.service.transport.connect_once" in text
+
     def test_checked_in_docs_up_to_date_enough(self):
         import pathlib
 

@@ -31,9 +31,10 @@ import time
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import format_fabric_summary, format_service_metrics
+from repro.service import ServiceConfig
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.fingerprint import CompileOptions, fingerprint
 from repro.service import router as router_module
@@ -284,6 +285,35 @@ class TestOneDataPlane:
             build_parser().parse_args(["route", "--transport", "tcp"])
         assert excinfo.value.code == 2
         assert "--transport" in capsys.readouterr().err
+
+
+class TestNodeConfigValidation:
+    """A node that rejects its argv exits at once and crash-loops
+    under supervision, failing every request: so a bad choice must be
+    refused when the config is built, with the service's message."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backend", "bogus"),
+            ("converter", "bogus"),
+            ("worker_mode", "fiber"),
+        ],
+    )
+    def test_bad_choice_is_refused(self, field, value):
+        with pytest.raises(ValueError) as node_err:
+            NodeConfig(**{field: value})
+        with pytest.raises(ValueError) as service_err:
+            ServiceConfig(**{field: value})
+        assert str(node_err.value) == str(service_err.value)
+        assert f"{field} must be one of" in str(node_err.value)
+
+    def test_route_refuses_a_bad_converter_before_spawning(self, capsys):
+        rc = main(["route", "--backend", "compiled", "--converter", "x"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: converter must be one of")
+        assert "\n" not in err
 
 
 def _read_node_counters(metrics_dir):

@@ -10,7 +10,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.lower.engine import CompiledEngine, LoweringConfig
+from repro.lower.engine import CompiledEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stitch import (
     critical_path,
@@ -415,7 +415,7 @@ class TestGroupedRequestTraces:
             ]
             assert [r.trace_id for r in batched] == [traces[0]]
 
-    @pytest.mark.parametrize("lowering", [None, LoweringConfig()])
+    @pytest.mark.parametrize("lowering", [None, {"converter": "numpy"}])
     def test_pool_worker_spans_tile_the_job(self, lowering):
         """The pool worker's spans feed the worker_* stage histograms,
         so they must add up to the job's real time: the batched kernel
@@ -447,10 +447,10 @@ class TestGroupedRequestTraces:
                     "plan": None,
                 }
             ],
-            "lowering": None if lowering is None else lowering.to_json(),
             "execs": execs,
         }
-        plans, engine = OrderedDict(), CompiledEngine()
+        plans = OrderedDict()
+        engine = None if lowering is None else CompiledEngine(**lowering)
         first = _run_job(job, plans, None, engine)  # compile + lower
         job["stages"][0]["plan"] = first["plans"][stage.fingerprint]
         started = time.time_ns()

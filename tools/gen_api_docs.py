@@ -48,11 +48,38 @@ def iter_modules(package):
         yield importlib.import_module(info.name)
 
 
+class _Name:
+    """A default value rendered as its dotted name."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _stable_default(value):
+    """Callable defaults render as ``module.qualname``: their ``repr``
+    carries a memory address that changes on every run."""
+    qualname = getattr(value, "__qualname__", None)
+    if not callable(value) or qualname is None:
+        return value
+    module = getattr(value, "__module__", None)
+    return _Name(f"{module}.{qualname}" if module else qualname)
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        sig = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(...)"
+    params = [
+        p
+        if p.default is inspect.Parameter.empty
+        else p.replace(default=_stable_default(p.default))
+        for p in sig.parameters.values()
+    ]
+    return str(sig.replace(parameters=params))
 
 
 def generate() -> str:
